@@ -40,7 +40,7 @@ race:
 
 # BENCH_JSON is where bench archives its parsed results (committed to the
 # repo so the perf trajectory across PRs is tracked in-tree).
-BENCH_JSON ?= BENCH_PR10.json
+BENCH_JSON ?= BENCH_PR12.json
 
 # bench runs the in-package core, rov, and rtr benchmarks plus the
 # paper-evaluation benches; -count=1 defeats test caching so numbers are
@@ -48,8 +48,8 @@ BENCH_JSON ?= BENCH_PR10.json
 # end-to-end serving latency next to the micro numbers (the full-scale soak
 # is the separate `make soak`). The raw output is parsed into $(BENCH_JSON)
 # by cmd/benchjson.
-# The rider soak is sized for the single-CPU dev container: 500 pollers at
-# 250ms churn is ~2000 incremental syncs/s, which one core carries without
+# The rider soak is sized for the 2-CPU dev container: 500 pollers at
+# 250ms churn is ~2000 incremental syncs/s, which it carries without
 # starving pollers into the server's (correct) overload shedding; crank the
 # knobs on real hardware.
 RTRLOAD_CLIENTS ?= 500
@@ -78,17 +78,18 @@ soak-smoke:
 	$(GO) run ./cmd/rtrload -clients 200 -duration 10s -vrps 10000 -churn 32 \
 		-interval 100ms -stall 2 -write-timeout 2s
 
-# bench-smoke is the quick pipeline-regression gate CI runs: the core and rov
-# micro benches and the headline compression bench at a handful of iterations.
+# bench-smoke is the quick pipeline-regression gate CI runs: the core, rov and
+# rtr micro benches and the headline compression bench at a handful of
+# iterations.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=10x -benchmem -count=1 ./internal/core/ ./internal/rov/
+	$(GO) test -run='^$$' -bench=. -benchtime=10x -benchmem -count=1 ./internal/core/ ./internal/rov/ ./internal/rtr/
 	$(GO) test -run='^$$' -bench='^(BenchmarkFigure2|BenchmarkCompressToday)$$' -benchtime=3x -benchmem -count=1 .
 
 # bench-diff compares two archived bench runs (the per-PR BENCH_*.json files)
 # and prints per-benchmark ns/op, B/op, and allocs/op deltas; a regression
 # beyond the per-metric threshold fails the target, so the in-repo trend
 # doubles as a review gate. Wall-clock (ns/op) gets a generous default that
-# sits above the noise floor of the single-CPU dev container (tens of
+# sits above the noise floor of the 2-CPU dev container (tens of
 # percent between runs even on untouched code) — tighten it on quiet
 # hardware: make bench-diff BENCH_THRESHOLD=10. B/op and allocs/op are exact
 # and gated tightly by BENCH_THRESHOLD_MEM, so allocation regressions fail
@@ -104,7 +105,7 @@ bench-smoke:
 # inside the window is a scheduler coin flip and ns/op on identical code
 # spans well past the ordinary threshold (measured: 2.9–6.3 µs for the same
 # binary); they get the looser BENCH_THRESHOLD_TIME_NOISY gate.
-BENCH_OLD ?= BENCH_PR8.json
+BENCH_OLD ?= BENCH_PR10.json
 BENCH_NEW ?= $(BENCH_JSON)
 BENCH_THRESHOLD ?= 50
 BENCH_THRESHOLD_MEM ?= 10
@@ -118,7 +119,15 @@ bench-diff:
 		-time-noisy '$(BENCH_TIME_NOISY)' -threshold-time-noisy $(BENCH_THRESHOLD_TIME_NOISY) \
 		$(BENCH_OLD) $(BENCH_NEW)
 
+# fuzz runs every fuzz target in turn; go test accepts one -fuzz target per
+# package per run.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTrieVsReference -fuzztime=30s ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzIndex -fuzztime=30s ./internal/rov/
 	$(GO) test -run='^$$' -fuzz=FuzzCompactIndex -fuzztime=30s ./internal/rov/
+	$(GO) test -run='^$$' -fuzz=FuzzDiff -fuzztime=30s ./internal/rov/
+	$(GO) test -run='^$$' -fuzz=FuzzReadPDU -fuzztime=30s ./internal/rtr/
+	$(GO) test -run='^$$' -fuzz=FuzzPDUStream -fuzztime=30s ./internal/rtr/
+	$(GO) test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=30s ./internal/bgp/
+	$(GO) test -run='^$$' -fuzz=FuzzReadMRT -fuzztime=30s ./internal/bgp/
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=30s ./internal/prefix/

@@ -44,6 +44,8 @@ var blockingFuncs = map[string]bool{
 var blockingMethods = map[string]map[string]bool{
 	"sync.WaitGroup": {"Wait": true},
 	"sync.Cond":      {"Wait": true},
+	// A connection's PDU reader blocks on its socket like ReadPDU.
+	"repro/internal/rtr.pduReader": {"next": true},
 }
 
 func isMutexType(t types.Type) bool {

@@ -79,3 +79,28 @@ func BenchmarkPublishDelta(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkClientReset is a router's cold start against a 50k-VRP cache
+// over loopback TCP: Dial, one full Reset, Close. It measures the client
+// read path end to end — buffered framing, Prefix decode and the table
+// commit — against the server's full-table stream.
+func BenchmarkClientReset(b *testing.B) {
+	set := bigVRPSet(50_000)
+	addr, stop := startServer(b, NewServer(set))
+	defer stop()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := Dial(addr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Reset(); err != nil {
+			b.Fatal(err)
+		}
+		if c.Len() != set.Len() {
+			b.Fatalf("reset holds %d VRPs, want %d", c.Len(), set.Len())
+		}
+		c.Close()
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,17 +14,17 @@ import (
 // Client is the router side of the protocol: it synchronizes a local copy of
 // the cache's VRP set — the table a router consults for origin validation.
 //
-// A single dispatch goroutine, started by NewClient, owns ReadPDU for the
-// connection's lifetime. It reads whole PDUs and routes each one: Serial
-// Notify PDUs go to the coalescing channel returned by Notify, everything
-// else belongs to the at-most-one in-flight Sync/Reset exchange. No other
-// goroutine ever reads from the connection, so no reader can be interrupted
-// mid-PDU and the stream can never lose framing — the failure mode RFC 8210
-// §8 cannot recover from short of tearing the session down. When a read
-// fails, or a PDU arrives that the protocol state cannot accept, the loop
-// records a sticky error, closes the connection, fails any in-flight
-// exchange, and closes Done; every later call fails fast with that error and
-// the caller must reconnect with a fresh Client.
+// A single dispatch goroutine, started by NewClient, owns the connection's
+// buffered PDU reader for its lifetime. It reads whole PDUs and routes each
+// one: Serial Notify PDUs go to the coalescing channel returned by Notify,
+// everything else belongs to the at-most-one in-flight Sync/Reset exchange.
+// No other goroutine ever reads from the connection, so no reader can be
+// interrupted mid-PDU and the stream can never lose framing — the failure
+// mode RFC 8210 §8 cannot recover from short of tearing the session down.
+// When a read fails, or a PDU arrives that the protocol state cannot accept,
+// the loop records a sticky error, closes the connection, fails any
+// in-flight exchange, and closes Done; every later call fails fast with that
+// error and the caller must reconnect with a fresh Client.
 type Client struct {
 	// Version is the protocol version to speak (Version1 by default). Set it
 	// before the first exchange.
@@ -92,9 +93,11 @@ type request struct {
 	// not answer Cache Reset): the update cannot be applied onto the local
 	// table, so the rest of it is consumed — keeping the stream framed —
 	// and the exchange resolves as a cache reset at End of Data.
-	discard     bool
-	session     uint16
-	staged      map[rpki.VRP]struct{}
+	discard bool
+	session uint16
+	// staged and withdrawals log the update's announcements and withdrawals
+	// in arrival order; commit applies them, announcements first.
+	staged      []rpki.VRP
 	withdrawals []rpki.VRP
 }
 
@@ -569,14 +572,15 @@ func (c *Client) exchange(full bool, q PDU) error {
 	return <-req.result
 }
 
-// dispatch is the single reader: it owns ReadPDU for the connection's
-// lifetime, routing Serial Notifies to the notify channel and everything
+// dispatch is the single reader: it owns the connection's pduReader for
+// its lifetime, routing Serial Notifies to the notify channel and everything
 // else to the in-flight exchange. It exits — closing Done — on the first
 // read error or protocol violation.
 func (c *Client) dispatch() {
 	defer close(c.done)
+	pr := newPDUReader(c.conn)
 	for {
-		pdu, version, err := ReadPDU(c.conn)
+		pdu, version, err := pr.next()
 		if err != nil {
 			c.fail(err)
 			return
@@ -631,7 +635,6 @@ func (c *Client) advance(req *request, pdu PDU, version byte) (finished bool, ex
 		case *CacheResponse:
 			req.started = true
 			req.session = p.SessionID
-			req.staged = make(map[rpki.VRP]struct{})
 			if !req.full {
 				// An incremental update is only meaningful against the
 				// session it continues (RFC 8210 §5.5: a session change
@@ -658,8 +661,14 @@ func (c *Client) advance(req *request, pdu PDU, version byte) (finished bool, ex
 	}
 	switch p := pdu.(type) {
 	case *Prefix:
+		// p is the reader's reused value: log the VRP by value.
 		if p.Flags&FlagAnnounce != 0 {
-			req.staged[p.VRP] = struct{}{}
+			if len(req.staged) == cap(req.staged) {
+				// Double rather than take append's 1.25x growth for large
+				// slices, which would allocate about five times a full table.
+				req.staged = slices.Grow(req.staged, len(req.staged)+1)
+			}
+			req.staged = append(req.staged, p.VRP)
 		} else {
 			req.withdrawals = append(req.withdrawals, p.VRP)
 		}
@@ -690,18 +699,24 @@ func (c *Client) advance(req *request, pdu PDU, version byte) (finished bool, ex
 // delta are not delivered at all; a full update is always enqueued (even
 // empty), carrying the Full marker SubscribeUpdates documents.
 func (c *Client) commit(req *request, eod *EndOfData, version byte) {
+	// A full update's table is built outside the lock, once, at its final
+	// size, so it never rehashes while growing.
+	var next map[rpki.VRP]struct{}
+	if req.full {
+		next = make(map[rpki.VRP]struct{}, len(req.staged))
+		for _, v := range req.staged {
+			next[v] = struct{}{}
+		}
+		for _, v := range req.withdrawals {
+			delete(next, v)
+		}
+	}
 	c.mu.Lock()
 	wantDelta := c.OnDelta != nil || len(c.subs) > 0
 	var ann, wd []rpki.VRP
 	if req.full {
 		// Replace the table; the delta reported to consumers is the
-		// difference against the table being replaced. The staged map is
-		// this exchange's scratch state, dead after commit, so it becomes
-		// the new table directly.
-		next := req.staged
-		for _, v := range req.withdrawals {
-			delete(next, v)
-		}
+		// difference against the table being replaced.
 		if wantDelta {
 			for v := range c.vrps {
 				if _, ok := next[v]; !ok {
@@ -716,7 +731,7 @@ func (c *Client) commit(req *request, eod *EndOfData, version byte) {
 		}
 		c.vrps = next
 	} else {
-		for v := range req.staged {
+		for _, v := range req.staged {
 			if _, ok := c.vrps[v]; !ok {
 				c.vrps[v] = struct{}{}
 				if wantDelta {

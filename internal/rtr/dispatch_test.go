@@ -1,8 +1,12 @@
 package rtr
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -294,5 +298,153 @@ func TestSubscribeSlowConsumerBackpressure(t *testing.T) {
 	}
 	if got := rpki.NewSet(vrps); !got.Equal(cur) {
 		t.Fatalf("slow consumer mirror has %d VRPs, want %d — a coalesced delta was lost", got.Len(), cur.Len())
+	}
+}
+
+// chunkConn hands the client's reads at most sizes[i] bytes on its i-th
+// read, cycling through sizes, so PDUs arrive split at every offset.
+type chunkConn struct {
+	net.Conn
+	sizes []int
+	n     int
+}
+
+func (c *chunkConn) Read(p []byte) (int, error) {
+	size := c.sizes[c.n%len(c.sizes)]
+	c.n++
+	if len(p) > size {
+		p = p[:size]
+	}
+	return c.Conn.Read(p)
+}
+
+// TestClientResetPartialDelivery runs a 5k-VRP Reset over connections that
+// deliver the stream in 1-byte and odd-sized chunks: the client's buffered
+// framing must reassemble every PDU whatever the split, leaving a table
+// equal to the cache's.
+func TestClientResetPartialDelivery(t *testing.T) {
+	set := bigVRPSet(5_000)
+	srv := NewServer(set)
+	addr, stop := startServer(t, srv)
+	defer stop()
+
+	for _, sizes := range [][]int{{1}, {3, 7, 1, 13, 29, 4099}} {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewClient(&chunkConn{Conn: nc, sizes: sizes})
+		if err := c.Reset(); err != nil {
+			t.Fatalf("chunks %v: Reset: %v", sizes, err)
+		}
+		if !c.Set().Equal(set) {
+			t.Fatalf("chunks %v: client holds %d VRPs, cache %d", sizes, c.Len(), set.Len())
+		}
+		c.Close()
+	}
+}
+
+// TestClientStreamCutMidPDU cuts the cache's answer inside a Prefix PDU,
+// delivered in odd-sized chunks. The buffered reader must not turn the
+// short PDU into a clean end of stream: the client keeps the sticky
+// io.ErrUnexpectedEOF, closes Done, and fails the in-flight Reset with it.
+func TestClientStreamCutMidPDU(t *testing.T) {
+	cliConn, srvConn := net.Pipe()
+	c := NewClient(&chunkConn{Conn: cliConn, sizes: []int{5, 3, 11}})
+	defer c.Close()
+
+	go func() {
+		defer srvConn.Close()
+		if _, _, err := ReadPDU(srvConn); err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		_ = WritePDU(&buf, Version1, &CacheResponse{SessionID: 9})
+		for _, v := range testVRPs().VRPs() {
+			_ = WritePDU(&buf, Version1, &Prefix{Flags: FlagAnnounce, VRP: v})
+		}
+		_, _ = srvConn.Write(buf.Bytes()[:buf.Len()-7]) // the Reset's error is the check
+	}()
+
+	if err := c.Reset(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Reset over a cut stream = %v, want io.ErrUnexpectedEOF", err)
+	}
+	select {
+	case <-c.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("dispatch loop did not terminate on the cut stream")
+	}
+	if err := c.Err(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("sticky error = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("a failed Reset committed %d VRPs", c.Len())
+	}
+}
+
+// TestStagedDuplicatesAndUnknownWithdrawals pins how an exchange's staged
+// PDUs apply: announcements first, then withdrawals; an announcement of a
+// VRP already held (or repeated in the update) and a withdrawal of one not
+// held change nothing and do not appear in the subscriber delta — on a full
+// Reset and on an incremental Sync alike.
+func TestStagedDuplicatesAndUnknownWithdrawals(t *testing.T) {
+	vrp := func(i int) rpki.VRP {
+		return rpki.VRP{Prefix: mp(fmt.Sprintf("10.%d.0.0/16", i)), MaxLength: 24, AS: rpki.ASN(64500 + i)}
+	}
+	a, b, unknown, d := vrp(1), vrp(2), vrp(3), vrp(4)
+	const session = 77
+	update := func(serial Serial, ann, wd []rpki.VRP) []byte {
+		var buf bytes.Buffer
+		_ = WritePDU(&buf, Version1, &CacheResponse{SessionID: session})
+		for _, v := range ann {
+			_ = WritePDU(&buf, Version1, &Prefix{Flags: FlagAnnounce, VRP: v})
+		}
+		for _, v := range wd {
+			_ = WritePDU(&buf, Version1, &Prefix{Flags: FlagWithdraw, VRP: v})
+		}
+		_ = WritePDU(&buf, Version1, &EndOfData{SessionID: session, Serial: serial})
+		return buf.Bytes()
+	}
+	answers := [][]byte{
+		update(1, []rpki.VRP{a, a, b}, []rpki.VRP{unknown, b}),
+		update(2, []rpki.VRP{a, d, d}, []rpki.VRP{unknown}),
+	}
+
+	cliConn, srvConn := net.Pipe()
+	defer srvConn.Close()
+	go func() {
+		for _, ans := range answers {
+			if _, _, err := ReadPDU(srvConn); err != nil {
+				return
+			}
+			if _, err := srvConn.Write(ans); err != nil {
+				return
+			}
+		}
+	}()
+	c := NewClient(cliConn)
+	defer c.Close()
+	var got []Update
+	c.SubscribeUpdates(func(u Update) { got = append(got, u) })
+
+	if err := c.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if want := rpki.NewSet([]rpki.VRP{a}); !c.Set().Equal(want) {
+		t.Fatalf("after Reset: %v, want %v", c.Set().VRPs(), want.VRPs())
+	}
+	if _, err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if want := rpki.NewSet([]rpki.VRP{a, d}); !c.Set().Equal(want) {
+		t.Fatalf("after Sync: %v, want %v", c.Set().VRPs(), want.VRPs())
+	}
+	c.FlushSubscribers()
+	want := []Update{
+		{Announced: []rpki.VRP{a}, Full: true},
+		{Announced: []rpki.VRP{d}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("subscriber saw %+v, want %+v", got, want)
 	}
 }

@@ -18,6 +18,7 @@
 package rtr
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -318,26 +319,61 @@ func protoErr(code uint16, format string, args ...interface{}) error {
 
 // ReadPDU reads and parses one PDU. It returns the PDU, its version byte,
 // and an error. Malformed input yields a *ProtocolError whose Code is
-// suitable for an Error Report.
+// suitable for an Error Report. It reads no further than the PDU, and every
+// PDU it returns is freshly allocated.
 func ReadPDU(r io.Reader) (PDU, byte, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return (&pduReader{r: r}).next()
+}
+
+// connBufSize sizes a connection's read and write buffers.
+const connBufSize = 4096
+
+// pduReader is a connection's PDU decoder. One from newPDUReader reads
+// through a buffer, so a full-table stream costs one syscall per ~200 IPv4
+// Prefix PDUs, and it decodes into scratch state it owns, so a Prefix PDU
+// costs no allocation either. The *Prefix it returns is its one reused
+// value, valid until the next call to next; every other PDU is freshly
+// allocated, with RouterKey.SPKI and the ErrorReport fields copied out of
+// the scratch body.
+type pduReader struct {
+	r      io.Reader
+	hdr    [headerLen]byte
+	body   []byte
+	prefix Prefix
+}
+
+func newPDUReader(r io.Reader) *pduReader {
+	return &pduReader{r: bufio.NewReaderSize(r, connBufSize)}
+}
+
+func (pr *pduReader) next() (PDU, byte, error) {
+	if _, err := io.ReadFull(pr.r, pr.hdr[:]); err != nil {
 		return nil, 0, err
 	}
-	version := hdr[0]
-	pduType := hdr[1]
-	sess := binary.BigEndian.Uint16(hdr[2:])
-	length := binary.BigEndian.Uint32(hdr[4:])
+	version := pr.hdr[0]
+	length := binary.BigEndian.Uint32(pr.hdr[4:])
 	if version != Version0 && version != Version1 {
 		return nil, version, protoErr(ErrUnsupportedVersion, "unsupported version %d", version)
 	}
 	if length < headerLen || length > MaxPDUSize {
 		return nil, version, protoErr(ErrCorruptData, "bad PDU length %d", length)
 	}
-	body := make([]byte, length-headerLen)
-	if _, err := io.ReadFull(r, body); err != nil {
+	if n := int(length - headerLen); cap(pr.body) < n {
+		pr.body = make([]byte, n)
+	}
+	body := pr.body[:length-headerLen]
+	if _, err := io.ReadFull(pr.r, body); err != nil {
 		return nil, version, err
 	}
+	return parsePDU(&pr.hdr, body, &pr.prefix)
+}
+
+// parsePDU decodes one framed PDU. A Prefix PDU is decoded into pfx, which
+// is returned; no returned PDU aliases body.
+func parsePDU(hdr *[headerLen]byte, body []byte, pfx *Prefix) (PDU, byte, error) {
+	version := hdr[0]
+	pduType := hdr[1]
+	sess := binary.BigEndian.Uint16(hdr[2:])
 	need := func(n int) error {
 		if len(body) != n {
 			return protoErr(ErrCorruptData, "type %d PDU body length %d, want %d", pduType, len(body), n)
@@ -369,12 +405,12 @@ func ReadPDU(r io.Reader) (PDU, byte, error) {
 		if err := need(12); err != nil {
 			return nil, version, err
 		}
-		return parsePrefixPDU(body, prefix.IPv4, version)
+		return parsePrefixPDU(body, prefix.IPv4, version, pfx)
 	case TypeIPv6Prefix:
 		if err := need(24); err != nil {
 			return nil, version, err
 		}
-		return parsePrefixPDU(body, prefix.IPv6, version)
+		return parsePrefixPDU(body, prefix.IPv6, version, pfx)
 	case TypeEndOfData:
 		if version == Version0 {
 			if err := need(4); err != nil {
@@ -415,7 +451,7 @@ func ReadPDU(r io.Reader) (PDU, byte, error) {
 	}
 }
 
-func parsePrefixPDU(body []byte, fam prefix.Family, version byte) (PDU, byte, error) {
+func parsePrefixPDU(body []byte, fam prefix.Family, version byte, pfx *Prefix) (PDU, byte, error) {
 	flags, plen, maxLen := body[0], body[1], body[2]
 	var hi, lo uint64
 	var as rpki.ASN
@@ -435,7 +471,8 @@ func parsePrefixPDU(body []byte, fam prefix.Family, version byte) (PDU, byte, er
 	if err := v.Validate(); err != nil {
 		return nil, version, protoErr(ErrCorruptData, "bad VRP in PDU: %v", err)
 	}
-	return &Prefix{Flags: flags & FlagAnnounce, VRP: v}, version, nil
+	*pfx = Prefix{Flags: flags & FlagAnnounce, VRP: v}
+	return pfx, version, nil
 }
 
 func parseErrorReport(body []byte, code uint16, version byte) (PDU, byte, error) {
@@ -443,13 +480,13 @@ func parseErrorReport(body []byte, code uint16, version byte) (PDU, byte, error)
 		return nil, version, protoErr(ErrCorruptData, "short Error Report")
 	}
 	cl := binary.BigEndian.Uint32(body)
-	if uint64(4+cl+4) > uint64(len(body)) {
+	if uint64(cl)+8 > uint64(len(body)) { // in 64 bits: 4+cl+4 wraps in 32
 		return nil, version, protoErr(ErrCorruptData, "Error Report causing-PDU length overflow")
 	}
 	causing := append([]byte(nil), body[4:4+cl]...)
 	rest := body[4+cl:]
 	tl := binary.BigEndian.Uint32(rest)
-	if uint64(4+tl) > uint64(len(rest)) {
+	if uint64(tl)+4 > uint64(len(rest)) {
 		return nil, version, protoErr(ErrCorruptData, "Error Report text length overflow")
 	}
 	return &ErrorReport{Code: code, CausingPDU: causing, Text: string(rest[4 : 4+tl])}, version, nil

@@ -3,6 +3,7 @@ package rtr
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -194,6 +195,18 @@ func TestErrorReportMalformedLengths(t *testing.T) {
 	if _, _, err := ReadPDU(bytes.NewReader(raw2)); err == nil {
 		t.Error("overflowing text length accepted")
 	}
+	// Lengths near 2^32 must not wrap the bounds checks into slice panics.
+	for _, lens := range [][2]uint32{{0xffffffff, 0}, {0xfffffffc, 0}, {0, 0xffffffff}, {0, 0xfffffffd}} {
+		body := make([]byte, 16)
+		binary.BigEndian.PutUint32(body, lens[0])
+		binary.BigEndian.PutUint32(body[4:], lens[1])
+		raw := make([]byte, 8+len(body))
+		writeHeader(raw, Version1, TypeErrorReport, 0, uint32(len(raw)))
+		copy(raw[8:], body)
+		if _, _, err := ReadPDU(bytes.NewReader(raw)); err == nil {
+			t.Errorf("lengths %#x accepted", lens)
+		}
+	}
 }
 
 func TestWritePDUUnknownVersion(t *testing.T) {
@@ -237,5 +250,57 @@ func TestPrefixPDUQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// loopReader replays b forever, in reads as large as the caller asks for.
+type loopReader struct {
+	b   []byte
+	off int
+}
+
+func (r *loopReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		c := copy(p[n:], r.b[r.off:])
+		n += c
+		r.off = (r.off + c) % len(r.b)
+	}
+	return n, nil
+}
+
+// TestPDUReaderPrefixAllocs pins the client read path's per-PDU cost: once
+// its body buffer has grown, a connection's reader frames and decodes an
+// IPv4 or IPv6 Prefix PDU without allocating.
+func TestPDUReaderPrefixAllocs(t *testing.T) {
+	var stream bytes.Buffer
+	want := []Prefix{
+		{Flags: FlagAnnounce, VRP: rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: 24, AS: 1}},
+		{Flags: FlagWithdraw, VRP: rpki.VRP{Prefix: mp("2001:db8::/32"), MaxLength: 48, AS: 2}},
+	}
+	for i := range want {
+		if err := WritePDU(&stream, Version1, &want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pr := newPDUReader(&loopReader{b: stream.Bytes()})
+	var bad error
+	i := 0
+	read := func() {
+		pdu, _, err := pr.next()
+		if err != nil {
+			bad = err
+		} else if p, ok := pdu.(*Prefix); !ok || *p != want[i%len(want)] {
+			bad = fmt.Errorf("PDU %d = %#v, want %#v", i, pdu, want[i%len(want)])
+		}
+		i++
+	}
+	read()
+	read() // the IPv6 body grows the scratch buffer to its final size
+	if n := testing.AllocsPerRun(1000, read); n != 0 {
+		t.Errorf("reading a Prefix PDU allocates %.1f times, want 0", n)
+	}
+	if bad != nil {
+		t.Fatal(bad)
 	}
 }

@@ -19,7 +19,7 @@ func testVRPs() *rpki.Set {
 
 // startServer runs a Server on a loopback listener and returns its address
 // and a shutdown func.
-func startServer(t *testing.T, s *Server) (string, func()) {
+func startServer(t testing.TB, s *Server) (string, func()) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

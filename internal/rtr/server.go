@@ -733,7 +733,7 @@ func (s *Server) handle(nc net.Conn) {
 	c := &conn{
 		c:       nc,
 		shard:   sh,
-		bw:      bufio.NewWriterSize(nc, 4096),
+		bw:      bufio.NewWriterSize(nc, connBufSize),
 		version: Version1,
 		state:   connActive,
 	}
@@ -743,13 +743,14 @@ func (s *Server) handle(nc net.Conn) {
 	}
 	defer s.release(c)
 
+	pr := newPDUReader(nc)
 	for {
-		pdu, version, err := ReadPDU(nc)
+		pdu, version, err := pr.next()
 		if err != nil {
 			var pe *ProtocolError
 			if errors.As(err, &pe) {
 				// Reply with a version WritePDU accepts: the version byte
-				// ReadPDU returned is the peer's own, which for an
+				// the reader returned is the peer's own, which for an
 				// unsupported-version PDU is the bogus byte itself and would
 				// make WritePDU reject our Error Report. Fall back to the
 				// connection's negotiated (or default) version.
