@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build test race bench bench-smoke bench-diff soak soak-smoke fuzz
+.PHONY: check fmt vet lint build test race bench bench-smoke perfbench-smoke bench-diff soak soak-smoke fuzz
 
 # check is the CI gate: formatting, vet, the repo-invariant lint, build, and
 # the race-enabled tests.
@@ -40,7 +40,7 @@ race:
 
 # BENCH_JSON is where bench archives its parsed results (committed to the
 # repo so the perf trajectory across PRs is tracked in-tree).
-BENCH_JSON ?= BENCH_PR12.json
+BENCH_JSON ?= BENCH_PR13.json
 
 # bench runs the in-package core, rov, and rtr benchmarks plus the
 # paper-evaluation benches; -count=1 defeats test caching so numbers are
@@ -85,6 +85,12 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=10x -benchmem -count=1 ./internal/core/ ./internal/rov/ ./internal/rtr/
 	$(GO) test -run='^$$' -bench='^(BenchmarkFigure2|BenchmarkCompressToday)$$' -benchtime=3x -benchmem -count=1 .
 
+# perfbench-smoke runs the end-to-end benchmark harness's own tests — its
+# workload oracles and report parsing. perfbench is a separate module (it
+# replaces repro with the checkout), so ./... from the root never reaches it.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
+
 # bench-diff compares two archived bench runs (the per-PR BENCH_*.json files)
 # and prints per-benchmark ns/op, B/op, and allocs/op deltas; a regression
 # beyond the per-metric threshold fails the target, so the in-repo trend
@@ -105,7 +111,7 @@ bench-smoke:
 # inside the window is a scheduler coin flip and ns/op on identical code
 # spans well past the ordinary threshold (measured: 2.9–6.3 µs for the same
 # binary); they get the looser BENCH_THRESHOLD_TIME_NOISY gate.
-BENCH_OLD ?= BENCH_PR10.json
+BENCH_OLD ?= BENCH_PR12.json
 BENCH_NEW ?= $(BENCH_JSON)
 BENCH_THRESHOLD ?= 50
 BENCH_THRESHOLD_MEM ?= 10

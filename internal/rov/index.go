@@ -255,8 +255,9 @@ func (ix *Index) ValidateBatchParallel(routes []Route, dst []State, workers int)
 
 // AppendVRPs appends the indexed VRP set to dst in per-family canonical
 // prefix order and returns the extended slice. LiveIndex compaction
-// rebuilds from it; callers can use it to export or diff a snapshot's
-// table without retaining the index.
+// rebuilds from it and the RTR server encodes its full-table responses from
+// it; callers can use it to export or diff a snapshot's table without
+// retaining the index.
 func (ix *Index) AppendVRPs(dst []rpki.VRP) []rpki.VRP {
 	for slot := range ix.fams {
 		f := &ix.fams[slot]
@@ -275,35 +276,4 @@ func (ix *Index) AppendVRPs(dst []rpki.VRP) []rpki.VRP {
 		})
 	}
 	return dst
-}
-
-// VisitVRPs streams the indexed VRP set to fn in the same per-family
-// canonical prefix order as AppendVRPs, without materializing a slice — the
-// RTR server's full-table responses encode each VRP as it is visited. fn
-// returning false stops delivery (the underlying walk still finishes, so an
-// early stop saves fn calls, not traversal).
-func (ix *Index) VisitVRPs(fn func(rpki.VRP) bool) {
-	stopped := false
-	for slot := range ix.fams {
-		f := &ix.fams[slot]
-		if stopped || len(f.eng.Nodes) == 0 {
-			continue
-		}
-		rootPfx, err := prefix.Make(slotFamily(slot), 0, 0, 0)
-		if err != nil {
-			panic(err) // unreachable: slotFamily yields valid families
-		}
-		f.eng.Walk(f.root, rootPfx, func(idx int32, p prefix.Prefix) {
-			if stopped {
-				return
-			}
-			sp := f.eng.Nodes[idx].Val
-			for _, e := range ix.entries[sp.off : sp.off+sp.n] {
-				if !fn(rpki.VRP{Prefix: p, MaxLength: e.maxLength, AS: e.as}) {
-					stopped = true
-					return
-				}
-			}
-		})
-	}
 }

@@ -2,6 +2,7 @@ package rtr
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -22,16 +23,18 @@ func (discardConn) SetDeadline(time.Time) error      { return nil }
 func (discardConn) SetReadDeadline(time.Time) error  { return nil }
 func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 
-// BenchmarkSendFull compares the two ways to answer a Reset Query over a
-// 50k-VRP table: "materialize" is the retired implementation (build a
-// []PDU of len(vrps)+2 heap values, then write each), "stream" is the
-// live one (visit the table, encode each VRP through the connection's
-// reused buffer and one reused Prefix value) — allocation-bounded per
-// response instead of linear in the table.
+// BenchmarkSendFull compares the ways to answer a Reset Query over a
+// 50k-VRP table: "materialize" is the retired reference (build a []PDU of
+// len(vrps)+2 heap values, then write each); "build" is the live path at
+// the first Reset Query of a serial (walk and encode the table into the
+// published value's body, then write it); "hit" is every later Reset Query
+// at that serial (one write of the memoized body between per-router
+// framing).
 func BenchmarkSendFull(b *testing.B) {
 	srv := NewServer(bigVRPSet(50_000))
 	defer srv.Close()
-	c := &conn{c: discardConn{}, bw: bufio.NewWriterSize(discardConn{}, 4096), version: Version1, state: connActive}
+	c := &conn{c: discardConn{}, bw: bufio.NewWriterSize(discardConn{}, connBufSize), version: Version1, state: connActive}
+	full := outItem{kind: outFull, version: Version1}
 
 	b.Run("materialize", func(b *testing.B) {
 		b.ReportAllocs()
@@ -52,14 +55,68 @@ func BenchmarkSendFull(b *testing.B) {
 		}
 	})
 
-	b.Run("stream", func(b *testing.B) {
+	b.Run("build", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := srv.streamFull(c, Version1); err != nil {
+			p := srv.pub.Load()
+			srv.pub.Store(&published{session: p.session, serial: p.serial, snaps: p.snaps}) // empty memo
+			if err := srv.writeItem(c, full); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+
+	b.Run("hit", func(b *testing.B) {
+		if err := srv.writeItem(c, full); err != nil { // warm the memo
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := srv.writeItem(c, full); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkSerialFanout answers N routers' Serial Queries at one serial —
+// the fan-out after a publish, when every router follows the same notify.
+// Each iteration starts from an empty memo on a 50k-VRP cache whose ring
+// holds 16 publishes of 64 VRPs each, queried from the oldest retained
+// serial: the first router pays the diff and the encode, the rest one write
+// each of the shared body, so ns/router falls as N grows.
+func BenchmarkSerialFanout(b *testing.B) {
+	srv := NewServer(bigVRPSet(50_000))
+	defer srv.Close()
+	for k := 0; k < srv.KeepDeltas; k++ {
+		ann := make([]rpki.VRP, 64)
+		for i := range ann {
+			ann[i] = rpki.VRP{Prefix: mp(fmt.Sprintf("100.%d.%d.0/24", k, i)), MaxLength: 24, AS: 64500}
+		}
+		srv.ApplyDelta(ann, nil)
+	}
+	p := srv.pub.Load()
+	q := outItem{kind: outSerial, version: Version1, query: SerialQuery{SessionID: p.session, Serial: p.snaps[0].serial}}
+	for _, n := range []int{1, 16, 256} {
+		b.Run(fmt.Sprintf("routers=%d", n), func(b *testing.B) {
+			conns := make([]*conn, n)
+			for i := range conns {
+				conns[i] = &conn{c: discardConn{}, bw: bufio.NewWriterSize(discardConn{}, connBufSize), version: Version1, state: connActive}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				srv.pub.Store(&published{session: p.session, serial: p.serial, snaps: p.snaps}) // empty memo
+				for _, c := range conns {
+					if err := srv.writeItem(c, q); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/router")
+		})
+	}
 }
 
 // BenchmarkPublishDelta measures the publish path a delta-fed cache runs

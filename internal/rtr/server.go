@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/prefix"
 	"repro/internal/rov"
 	"repro/internal/rpki"
 )
@@ -32,11 +33,18 @@ import (
 //
 // The cache stores no delta chains: each update's table goes into a short
 // ring of immutable rov snapshots sharing one arena lineage, and the answer
-// to a Serial Query is synthesized at write time as the structural diff
-// between the router's retained snapshot and the current one — exact
-// between any two retained serials, O(changed) in the snapshots'
-// divergence, and free of serial arithmetic (the ring is searched by serial
-// equality).
+// to a Serial Query is the structural diff between the router's retained
+// snapshot and the current one — exact between any two retained serials,
+// O(changed) in the snapshots' divergence, and free of serial arithmetic
+// (the ring is searched by serial equality).
+//
+// Responses are encoded once per published serial and shared: every router
+// at the same (session, serial, version) receives the same bytes, so the
+// first Reset Query at a serial walks and encodes the table and the first
+// Serial Query from each retained serial runs its diff, and every later
+// router is answered with one write of the memoized body. Bodies cost
+// ~20 B per IPv4 VRP and ~32 B per IPv6 VRP, per protocol version actually
+// requested, and are dropped with the published value that holds them.
 type Server struct {
 	// Timers advertised in version-1 End of Data PDUs (seconds). Zero values
 	// are replaced by the RFC 8210 suggested defaults.
@@ -55,7 +63,7 @@ type Server struct {
 	// count against the bound: the notify mailbox coalesces to the newest
 	// serial and can never overflow. Default 32. Set before Serve.
 	QueueDepth int
-	// WriteTimeout bounds each queued write (one PDU, or one streamed
+	// WriteTimeout bounds each queued write (one PDU, or one whole
 	// response). A router whose TCP receive window stays closed past it is
 	// disconnected instead of pinning a pool writer forever. Default 30s.
 	// Set before Serve.
@@ -126,28 +134,92 @@ func (sh *connShard) remove(c *conn) {
 }
 
 // published is the immutable publish state. Publishers build a fresh value
-// (including a fresh snaps slice) and swap the pointer; a stored value is
-// never mutated again, so lock-free readers see a coherent session, serial,
-// and ring.
+// (including a fresh snaps slice) and swap the pointer; its session, serial
+// and ring are never mutated again, so lock-free readers see a coherent
+// view, and the response bodies memoized on it stay exact for its lifetime.
+//
+//repro:immutable
 type published struct {
 	session uint16
 	serial  Serial
 	snaps   []serialSnapshot // oldest first; last is the current serial's table
+	// full is the Reset Query body per protocol version: the current table
+	// as announce Prefix PDUs.
+	full [2]body
+	// deltas parallels snaps: deltas[i][v] is the Serial Query body from
+	// snaps[i].serial to the current serial — announces, then withdrawals.
+	// The first Serial Query allocates it, so a publish superseded before
+	// any router asks costs no memo slots.
+	deltasOnce sync.Once
+	deltas     [][2]body
 }
 
 // current returns the table at the published serial.
 func (p *published) current() *rov.Index { return p.snaps[len(p.snaps)-1].table }
 
-// lookup returns the retained table at serial, or nil when it has been
-// evicted from the ring (no serial arithmetic: the ring is searched by
-// equality, and its length is the retention policy).
-func (p *published) lookup(serial Serial) *rov.Index {
-	for _, sn := range p.snaps {
-		if sn.serial == serial {
-			return sn.table
+// fullBody returns the Reset Query body for version, encoding it on first use.
+func (p *published) fullBody(version byte) []byte {
+	return p.full[version].get(func() []byte {
+		cur := p.current()
+		return encodePrefixes(version, cur.AppendVRPs(make([]rpki.VRP, 0, cur.Len())), nil)
+	})
+}
+
+// deltaBody returns the Serial Query body from serial to the current serial,
+// diffing and encoding it on first use, or false when serial has been evicted
+// from the ring (no serial arithmetic: the ring is searched by equality, and
+// its length is the retention policy). A query at the current serial diffs a
+// snapshot against itself: the empty body.
+func (p *published) deltaBody(serial Serial, version byte) ([]byte, bool) {
+	p.deltasOnce.Do(func() { p.deltas = make([][2]body, len(p.snaps)) })
+	for i := range p.snaps {
+		if p.snaps[i].serial == serial {
+			return p.deltas[i][version].get(func() []byte {
+				ann, wd := rov.Diff(p.snaps[i].table, p.current())
+				return encodePrefixes(version, ann, wd)
+			}), true
 		}
 	}
-	return nil
+	return nil, false
+}
+
+// body is one lazily built response body: a run of encoded Prefix PDUs,
+// built by the first router to need it and shared read-only by every router
+// after.
+type body struct {
+	once sync.Once
+	b    []byte
+}
+
+func (b *body) get(build func() []byte) []byte {
+	b.once.Do(func() { b.b = build() })
+	return b.b
+}
+
+// encodePrefixes renders announced, then withdrawn, as Prefix PDUs into one
+// exactly sized slice (20 bytes per IPv4 PDU, 32 per IPv6).
+func encodePrefixes(version byte, announced, withdrawn []rpki.VRP) []byte {
+	n := 0
+	for _, vrps := range [2][]rpki.VRP{announced, withdrawn} {
+		for i := range vrps {
+			n += 20
+			if vrps[i].Prefix.Family() != prefix.IPv4 {
+				n += 12
+			}
+		}
+	}
+	out := make([]byte, 0, n)
+	pp := Prefix{Flags: FlagAnnounce}
+	for i := range announced {
+		pp.VRP = announced[i]
+		out = appendPrefix(out, version, &pp)
+	}
+	pp.Flags = FlagWithdraw
+	for i := range withdrawn {
+		pp.VRP = withdrawn[i]
+		out = appendPrefix(out, version, &pp)
+	}
+	return out
 }
 
 // serialSnapshot pairs a serial number with the immutable table the cache
@@ -177,9 +249,9 @@ const (
 	outError                 // terminal Error Report (conn moves to connClosing)
 )
 
-// outItem is one queued response. Queues hold descriptors, not materialized
-// PDUs: the writer renders the response from the published state at write
-// time, so a deep queue costs bytes per entry, not a table copy, and a
+// outItem is one queued response. Queues hold descriptors, not encoded
+// PDUs: the writer picks the response body from the published state at
+// write time, so a deep queue costs bytes per entry, not a table copy, and a
 // delayed answer reflects the freshest data.
 type outItem struct {
 	kind    outKind
@@ -192,9 +264,9 @@ type outItem struct {
 type conn struct {
 	c     net.Conn
 	shard *connShard
-	// bw is the connection's reused encode buffer: streamed responses write
-	// through it PDU by PDU, so a full-table answer is allocation-bounded
-	// instead of materializing len(vrps)+2 PDU values.
+	// bw is the connection's write buffer: it coalesces a response's Cache
+	// Response and End of Data with the edges of the shared body, and hands
+	// the body's bulk straight to the socket.
 	bw *bufio.Writer
 
 	mu      sync.Mutex
@@ -275,9 +347,9 @@ func (s *Server) UpdateSet(next *rpki.Set) {
 	s.writeMu.Lock()
 	prev := s.pub.Load().current()
 	ann, wd := rov.Diff(prev, rov.NewIndex(next))
-	session, serial := s.publishLocked(ann, wd)
+	serial := s.publishLocked(ann, wd)
 	s.writeMu.Unlock()
-	s.broadcastNotify(session, serial)
+	s.broadcastNotify(serial)
 }
 
 // ApplyDelta publishes an announce/withdraw delta directly — the O(delta)
@@ -288,9 +360,9 @@ func (s *Server) UpdateSet(next *rpki.Set) {
 // returns the serial the delta was published under.
 func (s *Server) ApplyDelta(announced, withdrawn []rpki.VRP) Serial {
 	s.writeMu.Lock()
-	session, serial := s.publishLocked(announced, withdrawn)
+	serial := s.publishLocked(announced, withdrawn)
 	s.writeMu.Unlock()
-	s.broadcastNotify(session, serial)
+	s.broadcastNotify(serial)
 	return serial
 }
 
@@ -300,10 +372,10 @@ func (s *Server) ApplyDelta(announced, withdrawn []rpki.VRP) Serial {
 // that stay answerable). The snaps slice is freshly allocated per publish —
 // the ring is small — so the previous published value stays immutable under
 // concurrent readers. Caller holds writeMu.
-func (s *Server) publishLocked(announced, withdrawn []rpki.VRP) (session uint16, serial Serial) {
+func (s *Server) publishLocked(announced, withdrawn []rpki.VRP) Serial {
 	old := s.pub.Load()
 	s.live.Apply(announced, withdrawn)
-	serial = SerialAdvance(old.serial, 1)
+	serial := SerialAdvance(old.serial, 1)
 	keep := s.KeepDeltas + 2
 	if keep < 1 {
 		keep = 1
@@ -316,15 +388,15 @@ func (s *Server) publishLocked(announced, withdrawn []rpki.VRP) (session uint16,
 	snaps = append(snaps, old.snaps[start:]...)
 	snaps = append(snaps, serialSnapshot{serial: serial, table: s.live.Snapshot()})
 	s.pub.Store(&published{session: old.session, serial: serial, snaps: snaps})
-	return old.session, serial
+	return serial
 }
 
 // broadcastNotify offers the new serial to every connection's notify
 // mailbox. Shard locks are held only to copy the membership, mailbox offers
 // take only the target's own lock, and queue handoff to the writer pool is
-// non-blocking — no socket is touched on this path.
-func (s *Server) broadcastNotify(session uint16, serial Serial) {
-	_ = session // notifies are rendered from the published state at write time
+// non-blocking — no socket is touched on this path. The session is read
+// from the published state when each notify is written.
+func (s *Server) broadcastNotify(serial Serial) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
@@ -542,17 +614,39 @@ func (s *Server) writeNotify(c *conn, version byte, serial Serial) error {
 	return WritePDU(c.c, version, &SerialNotify{SessionID: p.session, Serial: serial})
 }
 
-// writeItem renders and writes one queued response descriptor.
+// writeItem renders and writes one queued response descriptor. Reset and
+// Serial Query answers share one path: a Cache Response, the memoized body
+// shared by every router at this serial, and an End of Data. The framing
+// PDUs are rendered per router, so the session and the Refresh/Retry/Expire
+// timers are read at write time.
 func (s *Server) writeItem(c *conn, item outItem) error {
 	s.setWriteDeadline(c)
-	switch item.kind {
-	case outFull:
-		return s.streamFull(c, item.version)
-	case outSerial:
-		return s.streamSerial(c, item.version, item.query)
-	default: // outError
+	if item.kind == outError {
 		return WritePDU(c.c, item.version, &ErrorReport{Code: item.errCode, Text: item.errText})
 	}
+	p := s.pub.Load()
+	var body []byte
+	if item.kind == outFull {
+		body = p.fullBody(item.version)
+	} else {
+		ok := false
+		if item.query.SessionID == p.session {
+			body, ok = p.deltaBody(item.query.Serial, item.version)
+		}
+		if !ok {
+			return WritePDU(c.c, item.version, &CacheReset{})
+		}
+	}
+	if err := WritePDU(c.bw, item.version, &CacheResponse{SessionID: p.session}); err != nil {
+		return err
+	}
+	if _, err := c.bw.Write(body); err != nil {
+		return err
+	}
+	if err := WritePDU(c.bw, item.version, s.endOfData(p.session, p.serial)); err != nil {
+		return err
+	}
+	return c.bw.Flush()
 }
 
 func (s *Server) setWriteDeadline(c *conn) {
@@ -562,84 +656,6 @@ func (s *Server) setWriteDeadline(c *conn) {
 	}
 	// Errors (e.g. an already-closed socket) surface on the write itself.
 	_ = c.c.SetWriteDeadline(time.Now().Add(d))
-}
-
-// streamFull answers a Reset Query: Cache Response, every VRP, End of Data,
-// streamed through the connection's reused encode buffer with one Prefix
-// value reused for every VRP — the response is allocation-bounded
-// regardless of table size.
-func (s *Server) streamFull(c *conn, version byte) error {
-	p := s.pub.Load()
-	c.bw.Reset(c.c)
-	if err := WritePDU(c.bw, version, &CacheResponse{SessionID: p.session}); err != nil {
-		return err
-	}
-	// Encode each prefix into the bufio writer's spare capacity
-	// (AvailableBuffer) instead of through WritePDU: an escaping stack
-	// buffer per PDU would cost an allocation per VRP on a path that runs
-	// len(table) times per Reset Query.
-	var pp Prefix
-	pp.Flags = FlagAnnounce
-	var werr error
-	p.current().VisitVRPs(func(v rpki.VRP) bool {
-		pp.VRP = v
-		if c.bw.Available() < 32 { // keep AvailableBuffer large enough to encode in place
-			if werr = c.bw.Flush(); werr != nil {
-				return false
-			}
-		}
-		_, werr = c.bw.Write(appendPrefix(c.bw.AvailableBuffer(), version, &pp))
-		return werr == nil
-	})
-	if werr != nil {
-		return werr
-	}
-	if err := WritePDU(c.bw, version, s.endOfData(p.session, p.serial)); err != nil {
-		return err
-	}
-	return c.bw.Flush()
-}
-
-// streamSerial answers a Serial Query from the published state at write
-// time: an incremental update when the session matches and the router's
-// serial is still in the snapshot ring, otherwise Cache Reset. The update
-// is synthesized as the structural diff between the retained snapshot and
-// the current table — no stored chain, O(changed) between any two retained
-// serials (a query at the current serial diffs a snapshot against itself:
-// the empty update).
-func (s *Server) streamSerial(c *conn, version byte, q SerialQuery) error {
-	p := s.pub.Load()
-	if q.SessionID != p.session {
-		return WritePDU(c.c, version, &CacheReset{})
-	}
-	from := p.lookup(q.Serial)
-	if from == nil {
-		return WritePDU(c.c, version, &CacheReset{})
-	}
-	ann, wd := rov.Diff(from, p.current())
-	c.bw.Reset(c.c)
-	if err := WritePDU(c.bw, version, &CacheResponse{SessionID: p.session}); err != nil {
-		return err
-	}
-	var pp Prefix
-	pp.Flags = FlagAnnounce
-	for i := range ann {
-		pp.VRP = ann[i]
-		if _, err := c.bw.Write(appendPrefix(c.bw.AvailableBuffer(), version, &pp)); err != nil {
-			return err
-		}
-	}
-	pp.Flags = FlagWithdraw
-	for i := range wd {
-		pp.VRP = wd[i]
-		if _, err := c.bw.Write(appendPrefix(c.bw.AvailableBuffer(), version, &pp)); err != nil {
-			return err
-		}
-	}
-	if err := WritePDU(c.bw, version, s.endOfData(p.session, p.serial)); err != nil {
-		return err
-	}
-	return c.bw.Flush()
 }
 
 // Serve accepts router connections on l until Close is called. It always

@@ -228,7 +228,8 @@ func TestConcurrentConnectDisconnectDuringPublish(t *testing.T) {
 // TestPublishedRingConsistency reads the published value concurrently with
 // publishing (meaningful under -race) and checks its structural invariants
 // on every observed version: bounded ring, strictly consecutive serials,
-// the current serial resolvable to the current table, a constant session.
+// one delta body slot per ring slot, the current serial answerable with the
+// empty update, a constant session.
 func TestPublishedRingConsistency(t *testing.T) {
 	srv := NewServer(testVRPs())
 	srv.KeepDeltas = 5
@@ -264,8 +265,12 @@ func TestPublishedRingConsistency(t *testing.T) {
 				t.Errorf("published serial %d != last ring serial %d", p.serial, p.snaps[len(p.snaps)-1].serial)
 				return
 			}
-			if p.lookup(p.serial) != p.current() {
-				t.Error("lookup(current serial) != current table")
+			if b, ok := p.deltaBody(p.serial, Version1); !ok || len(b) != 0 {
+				t.Errorf("current serial: delta body of %d bytes, in ring %v; want the empty update", len(b), ok)
+				return
+			}
+			if len(p.deltas) != len(p.snaps) {
+				t.Errorf("%d delta bodies for a ring of %d", len(p.deltas), len(p.snaps))
 				return
 			}
 		}
