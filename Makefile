@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint build test race bench bench-smoke perfbench-smoke bench-diff soak soak-smoke fuzz
+.PHONY: check fmt vet lint build test race race-stress bench bench-smoke perfbench-smoke bench-diff soak soak-smoke fuzz
 
 # check is the CI gate: formatting, vet, the repo-invariant lint, build, and
 # the race-enabled tests.
@@ -37,6 +37,26 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# race-stress runs the supervisor tests under -race in six concurrent copies
+# of one test binary, 50 runs each. The CPU contention widens timing windows
+# a single run rarely hits (a supervisor's bookkeeping racing its
+# subscribers, a second upstream still syncing); any failure fails the
+# target and prints the failing copy's log.
+race-stress:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) test -race -c -o "$$dir/rtr.test" ./internal/rtr || exit 1; \
+	cd internal/rtr; \
+	pids=""; for i in 1 2 3 4 5 6; do \
+		"$$dir/rtr.test" -test.run 'Supervisor' -test.count 50 > "$$dir/$$i.log" 2>&1 & \
+		pids="$$pids $$!"; \
+	done; \
+	fail=0; i=0; for p in $$pids; do \
+		i=$$((i + 1)); \
+		if ! wait $$p; then cat "$$dir/$$i.log"; fail=1; fi; \
+	done; \
+	if [ $$fail -ne 0 ]; then echo "race-stress: failures in six concurrent copies"; exit 1; fi; \
+	echo "race-stress: six copies x 50 runs passed"
 
 # BENCH_JSON is where bench archives its parsed results (committed to the
 # repo so the perf trajectory across PRs is tracked in-tree).

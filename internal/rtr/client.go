@@ -30,15 +30,6 @@ type Client struct {
 	// before the first exchange.
 	Version byte
 
-	// OnDelta, when set, receives each completed non-empty update's applied
-	// delta synchronously on the dispatch goroutine, before the producing
-	// Sync or Reset returns — the original (pre-fan-out) delivery contract.
-	//
-	// Deprecated: use Subscribe, which supports multiple consumers and does
-	// not stall the dispatch loop while a consumer runs. Set OnDelta before
-	// the first sync and do not change it while syncs are in flight.
-	OnDelta func(announced, withdrawn []rpki.VRP)
-
 	// SubscribeQueue bounds each subscriber's pending-update queue (default
 	// 16). A consumer that falls further behind has its oldest pending
 	// updates coalesced pairwise — net effect preserved — rather than
@@ -694,10 +685,10 @@ func (c *Client) advance(req *request, pdu PDU, version byte) (finished bool, ex
 
 // commit applies a completed update on the dispatch goroutine: it swaps in
 // the new table state, adopts version-1 timers, drops a now-stale pending
-// notify, delivers the applied delta synchronously to OnDelta, and enqueues
-// it on every subscriber's drainer queue. Non-full updates with an empty
-// delta are not delivered at all; a full update is always enqueued (even
-// empty), carrying the Full marker SubscribeUpdates documents.
+// notify, and enqueues the applied delta on every subscriber's drainer
+// queue. Non-full updates with an empty delta are not delivered at all; a
+// full update is always enqueued (even empty), carrying the Full marker
+// SubscribeUpdates documents.
 func (c *Client) commit(req *request, eod *EndOfData, version byte) {
 	// A full update's table is built outside the lock, once, at its final
 	// size, so it never rehashes while growing.
@@ -712,7 +703,7 @@ func (c *Client) commit(req *request, eod *EndOfData, version byte) {
 		}
 	}
 	c.mu.Lock()
-	wantDelta := c.OnDelta != nil || len(c.subs) > 0
+	wantDelta := len(c.subs) > 0
 	var ann, wd []rpki.VRP
 	if req.full {
 		// Replace the table; the delta reported to consumers is the
@@ -758,7 +749,6 @@ func (c *Client) commit(req *request, eod *EndOfData, version byte) {
 		c.refresh, c.retry, c.expire = eod.Refresh, eod.Retry, eod.Expire
 		c.haveTimers = true
 	}
-	onDelta := c.OnDelta
 	subs := make([]*subscriber, len(c.subs))
 	copy(subs, c.subs)
 	depth := c.SubscribeQueue
@@ -767,9 +757,6 @@ func (c *Client) commit(req *request, eod *EndOfData, version byte) {
 		depth = 16
 	}
 	c.dropStaleNotify(eod.Serial)
-	if onDelta != nil && (len(ann) > 0 || len(wd) > 0) {
-		onDelta(ann, wd)
-	}
 	if req.full || len(ann) > 0 || len(wd) > 0 {
 		u := Update{Announced: ann, Withdrawn: wd, Full: req.full}
 		for _, sub := range subs {

@@ -113,9 +113,9 @@ func TestConcurrentSyncResetDispatch(t *testing.T) {
 
 // TestSubscribeMultipleConsumers pins the post-fan-out Subscribe contract:
 // every registered consumer sees every applied non-empty delta exactly once
-// and in commit order on its own drainer goroutine; the deprecated OnDelta
-// hook still fires synchronously before Sync returns; and FlushSubscribers
-// is the point after which consumer state may be asserted on. A second
+// and in commit order on its own drainer goroutine; a sync with nothing new
+// delivers nothing; and FlushSubscribers is the point after which consumer
+// state may be asserted on. A second
 // consumer keeps simple counters, the cmd/rtrclient pattern.
 func TestSubscribeMultipleConsumers(t *testing.T) {
 	set := testVRPs()
@@ -129,12 +129,6 @@ func TestSubscribeMultipleConsumers(t *testing.T) {
 	}
 	defer c.Close()
 
-	// OnDelta keeps the synchronous contract: delivery on the dispatch
-	// goroutine happens-before Sync returns, no locking needed.
-	onDeltaCalls := 0
-	c.OnDelta = func(ann, wd []rpki.VRP) {
-		onDeltaCalls++
-	}
 	// Subscribe consumers each run on their own drainer goroutine: their
 	// state is read only after FlushSubscribers, which is the documented
 	// synchronization point, so plain fields are still race-free.
@@ -164,9 +158,9 @@ func TestSubscribeMultipleConsumers(t *testing.T) {
 	checkDeliveries := func(want int) {
 		t.Helper()
 		c.FlushSubscribers()
-		if onDeltaCalls != want || mirrorDeliveries != want || counterDeliveries != want {
-			t.Fatalf("deliveries ondelta/mirror/counter = %d/%d/%d, want %d each",
-				onDeltaCalls, mirrorDeliveries, counterDeliveries, want)
+		if mirrorDeliveries != want || counterDeliveries != want {
+			t.Fatalf("deliveries mirror/counter = %d/%d, want %d each",
+				mirrorDeliveries, counterDeliveries, want)
 		}
 	}
 	checkMirror := func() {
@@ -182,9 +176,6 @@ func TestSubscribeMultipleConsumers(t *testing.T) {
 
 	if _, err := c.Sync(); err != nil { // initial full sync
 		t.Fatal(err)
-	}
-	if onDeltaCalls != 1 {
-		t.Fatalf("OnDelta fired %d times before Sync returned, want 1 (synchronous contract)", onDeltaCalls)
 	}
 	checkDeliveries(1)
 	checkMirror()

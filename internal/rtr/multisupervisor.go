@@ -46,10 +46,9 @@ type MultiSupervisor struct {
 	// Refresh/Retry/Expire seed each upstream's Supervisor (which then
 	// adopts the timers its cache advertises). Set before Run.
 	Refresh, Retry, Expire time.Duration
-	// BackoffMin/BackoffMax and SyncTimeout are forwarded to each
-	// upstream's Supervisor. Set before Run.
+	// BackoffMin/BackoffMax are forwarded to each upstream's Supervisor.
+	// Set before Run.
 	BackoffMin, BackoffMax time.Duration
-	SyncTimeout            time.Duration
 	// Logf, when set, receives lifecycle diagnostics (failovers, failbacks,
 	// per-upstream supervisor events).
 	Logf func(format string, args ...interface{})
@@ -260,7 +259,6 @@ func (m *MultiSupervisor) Run() error {
 		sup.Version = m.Version
 		sup.Refresh, sup.Retry, sup.Expire = m.Refresh, m.Retry, m.Expire
 		sup.BackoffMin, sup.BackoffMax = m.BackoffMin, m.BackoffMax
-		sup.SyncTimeout = m.SyncTimeout
 		sup.nowFn = m.nowFn
 		if m.Logf != nil {
 			logf, name := m.Logf, u.name
@@ -268,12 +266,12 @@ func (m *MultiSupervisor) Run() error {
 				logf("[%s] %s", name, fmt.Sprintf(format, args...))
 			}
 		}
-		// Ordering within one upstream: client subscribers now deliver on
-		// their own drainer goroutines, but the supervisor flushes them
-		// before running OnUpdate (and before OnDown at generation end), so
-		// this relay still completes before OnReset/OnUpdate fire on the
-		// supervisor goroutine — the mirror always holds the synced table by
-		// the time a switch can pick it.
+		// Ordering within one upstream: the Subscribe and OnReset consumers
+		// run on the client's drainer goroutine, but the supervisor flushes
+		// it before running OnUpdate (and before OnDown at generation end),
+		// so they complete before OnUpdate/OnDown fire on the supervisor
+		// goroutine — the mirror always holds the synced table by the time
+		// a switch can pick it.
 		sup.Subscribe(func(announced, withdrawn []rpki.VRP) {
 			u.mirror.Apply(announced, withdrawn)
 			m.reconcile(i)

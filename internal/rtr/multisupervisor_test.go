@@ -75,8 +75,10 @@ func TestMultiSupervisorFailoverFailback(t *testing.T) {
 	}()
 
 	// Startup: the preferred upstream serves, whatever order the two
-	// supervisors happened to sync in.
-	waitFor(t, func() bool { return m.Active() == 0 && liveTable(live).Equal(tableP) })
+	// supervisors happened to sync in, and the secondary has synced too.
+	waitFor(t, func() bool {
+		return m.Active() == 0 && liveTable(live).Equal(tableP) && m.Stats().Upstreams[1].Up
+	})
 	if !m.Healthy() {
 		t.Fatal("unhealthy after initial sync")
 	}

@@ -9,75 +9,24 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/rov"
 	"repro/internal/rpki"
 )
 
-// fakeClock is a controllable clock for poller tests: every timerAfter call
-// is surfaced on reqs, and the test fires timers explicitly, advancing Now by
-// the timer's duration.
-type fakeClock struct {
-	mu   sync.Mutex
-	now  time.Time
-	reqs chan fakeTimer
-}
-
-type fakeTimer struct {
-	d  time.Duration
-	ch chan time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{now: time.Unix(1700000000, 0), reqs: make(chan fakeTimer, 16)}
-}
-
-func (f *fakeClock) Now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.now
-}
-
-func (f *fakeClock) After(d time.Duration) <-chan time.Time {
-	t := fakeTimer{d: d, ch: make(chan time.Time, 1)}
-	f.reqs <- t
-	return t.ch
-}
-
-// fire advances the clock past the timer's deadline and fires it.
-func (f *fakeClock) fire(t fakeTimer) {
-	f.mu.Lock()
-	f.now = f.now.Add(t.d)
-	now := f.now
-	f.mu.Unlock()
-	t.ch <- now
-}
-
-// nextTimer returns the next armed timer or fails the test after a timeout.
-func (f *fakeClock) nextTimer(t *testing.T) fakeTimer {
-	t.Helper()
-	select {
-	case tm := <-f.reqs:
-		return tm
-	case <-time.After(5 * time.Second):
-		t.Fatal("poller armed no timer")
-		return fakeTimer{}
-	}
-}
+// The tests in this file pin the RFC 8210 §6 polling loop a Supervisor runs
+// inside each client generation (Supervisor.poll). Each dials once: over
+// net.Pipe with the fake clock, or to a real Server.
 
 // TestPollerRefreshAndRetryFakeClock drives the RFC 8210 state machine over
 // a scripted cache with a fake clock: the initial sync adopts the cache's
 // End of Data timers; with no Serial Notify ever sent, the Refresh timer
-// triggers a sync; that sync fails and the poller waits out the Retry timer;
-// the retry then succeeds.
+// triggers a sync; that sync fails and the supervisor waits out the Retry
+// timer; the retry then succeeds.
 func TestPollerRefreshAndRetryFakeClock(t *testing.T) {
+	h := newSupervisorHarness(t)
 	cliConn, srvConn := net.Pipe()
 	defer srvConn.Close()
-	c := NewClient(cliConn)
-	fc := newFakeClock()
-	p := NewPoller(c)
-	p.nowFn = fc.Now
-	p.afterFn = fc.After
-	updates := make(chan Serial, 8)
-	p.OnUpdate = func(s Serial) { updates <- s }
+	h.conns <- cliConn
 
 	const session = 0x1234
 	srvErr := make(chan error, 1)
@@ -129,52 +78,44 @@ func TestPollerRefreshAndRetryFakeClock(t *testing.T) {
 		}()
 	}()
 
-	runErr := make(chan error, 1)
-	go func() { runErr <- p.Run() }()
-
-	if s := <-updates; s != 7 {
-		t.Fatalf("initial sync serial = %d, want 7", s)
-	}
-	// Idle: the poller must arm the *adopted* Refresh interval, not the
+	h.start()
+	h.wantUpdate(t, 7)
+	// Idle: the supervisor must arm the *adopted* Refresh interval, not the
 	// configured default.
-	timer := fc.nextTimer(t)
+	timer := h.fc.nextTimer(t)
 	if timer.d != 1800*time.Second {
 		t.Fatalf("refresh timer = %v, want 30m0s (adopted from End of Data)", timer.d)
 	}
 	// No Serial Notify arrives; firing Refresh must trigger a sync, which
 	// the cache fails.
-	fc.fire(timer)
-	timer = fc.nextTimer(t)
+	h.fc.fire(timer)
+	timer = h.fc.nextTimer(t)
 	if timer.d != 300*time.Second {
 		t.Fatalf("retry timer = %v, want 5m0s (adopted from End of Data)", timer.d)
 	}
 	// RFC 8210 §6: one failed sync must NOT discard the data — only the
 	// Expire window does. 1800s have passed of the 3600s window.
-	if !p.Healthy() {
+	if !h.sup.Healthy() {
 		t.Fatal("failed sync discarded data still inside the Expire window")
 	}
 	// Firing Retry must trigger another sync, which succeeds.
-	fc.fire(timer)
-	if s := <-updates; s != 8 {
-		t.Fatalf("retried sync serial = %d, want 8", s)
-	}
-	if !p.Healthy() {
-		t.Fatal("poller unhealthy after successful retry")
+	h.fc.fire(timer)
+	h.wantUpdate(t, 8)
+	if !h.sup.Healthy() {
+		t.Fatal("supervisor unhealthy after successful retry")
 	}
 	// Back to idle: Refresh armed again.
-	timer = fc.nextTimer(t)
+	timer = h.fc.nextTimer(t)
 	if timer.d != 1800*time.Second {
 		t.Fatalf("re-armed refresh timer = %v, want 30m0s", timer.d)
 	}
 	if err := <-srvErr; err != nil {
 		t.Fatalf("scripted cache: %v", err)
 	}
-	p.Stop()
-	if err := <-runErr; err != nil {
-		t.Fatalf("Run returned %v after Stop", err)
-	}
-	if p.Refresh != 1800*time.Second || p.Retry != 300*time.Second || p.Expire != 3600*time.Second {
-		t.Fatalf("timers not adopted: refresh=%v retry=%v expire=%v", p.Refresh, p.Retry, p.Expire)
+	h.stop(t)
+	if refresh, retry, expire := h.sup.CurrentTimers(); refresh != 1800*time.Second ||
+		retry != 300*time.Second || expire != 3600*time.Second {
+		t.Fatalf("timers not adopted: refresh=%v retry=%v expire=%v", refresh, retry, expire)
 	}
 }
 
@@ -192,19 +133,13 @@ func TestPollerRefreshAndRetryFakeClock(t *testing.T) {
 // both the refresh-triggered sync and the one after it find a perfectly
 // framed stream.
 func TestSplitNotifyAcrossRefreshBoundary(t *testing.T) {
+	h := newSupervisorHarness(t)
 	cliConn, srvConn := net.Pipe()
 	defer srvConn.Close()
-	c := NewClient(cliConn)
-	fc := newFakeClock()
-	p := NewPoller(c)
-	p.nowFn = fc.Now
-	p.afterFn = fc.After
-	updates := make(chan Serial, 8)
-	p.OnUpdate = func(s Serial) { updates <- s }
+	h.conns <- cliConn
 
 	const session = 0x7a11
-	runErr := make(chan error, 1)
-	go func() { runErr <- p.Run() }()
+	h.start()
 
 	expectQuery := func(wantSerial Serial) {
 		t.Helper()
@@ -238,10 +173,8 @@ func TestSplitNotifyAcrossRefreshBoundary(t *testing.T) {
 		t.Fatalf("expected Reset Query, got %T", pdu)
 	}
 	answer(7)
-	if s := <-updates; s != 7 {
-		t.Fatalf("initial sync serial = %d, want 7", s)
-	}
-	refresh := fc.nextTimer(t)
+	h.wantUpdate(t, 7)
+	refresh := h.fc.nextTimer(t)
 	if refresh.d != 1800*time.Second {
 		t.Fatalf("refresh timer = %v, want 30m0s", refresh.d)
 	}
@@ -259,7 +192,7 @@ func TestSplitNotifyAcrossRefreshBoundary(t *testing.T) {
 	}
 
 	// The Refresh timer fires across the half-received PDU.
-	fc.fire(refresh)
+	h.fc.fire(refresh)
 
 	// The refresh-triggered Serial Query goes out on the intact write side.
 	expectQuery(7)
@@ -272,55 +205,48 @@ func TestSplitNotifyAcrossRefreshBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	answer(8)
-	if s := <-updates; s != 8 {
-		t.Fatalf("refresh sync serial = %d, want 8", s)
-	}
+	h.wantUpdate(t, 8)
 
 	// The notify (serial 8) was satisfied by that very sync: the client
-	// drops it as stale, so the poller goes back to a plain Refresh wait
-	// instead of a spurious immediate sync.
-	refresh = fc.nextTimer(t)
+	// drops it as stale, so the supervisor goes back to a plain Refresh
+	// wait instead of a spurious immediate sync.
+	refresh = h.fc.nextTimer(t)
 	if refresh.d != 1800*time.Second {
 		t.Fatalf("re-armed refresh timer = %v, want 30m0s", refresh.d)
 	}
 
 	// One more round proves the stream is still framed after the boundary.
-	fc.fire(refresh)
+	h.fc.fire(refresh)
 	expectQuery(8)
 	answer(8)
-	if s := <-updates; s != 8 {
-		t.Fatalf("follow-up sync serial = %d, want 8", s)
-	}
+	h.wantUpdate(t, 8)
 
-	p.Stop()
-	if err := <-runErr; err != nil {
-		t.Fatalf("Run returned %v after Stop", err)
-	}
+	h.stop(t)
 }
 
 // TestPollerNotifyVsRefreshRace drives the exact race window the old design
 // lost: a cache update (whose Serial Notify is racing toward the client)
 // concurrent with the Refresh timer firing. Whatever interleaving the race
-// takes, the dispatch loop keeps the stream framed and the poller converges
-// without ever entering an error path. Run under -race by make race.
+// takes, the dispatch loop keeps the stream framed and the supervisor
+// converges without ever entering an error path. Run under -race by make
+// race.
 func TestPollerNotifyVsRefreshRace(t *testing.T) {
 	set := testVRPs()
 	srv := NewServer(set)
 	addr, stop := startServer(t, srv)
 	defer stop()
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fc := newFakeClock()
-	p := NewPoller(c)
-	p.nowFn = fc.Now
-	p.afterFn = fc.After
-	var updates atomic.Int32
-	p.OnUpdate = func(Serial) { updates.Add(1) }
+	sup := NewSupervisor(func() (net.Conn, error) { return net.Dial("tcp", addr) })
+	sup.nowFn = fc.Now
+	sup.afterFn = fc.After
+	live := rov.NewLiveIndex(rpki.NewSet(nil))
+	sup.Subscribe(live.Apply)
+	var updates, downs atomic.Int32
+	sup.OnUpdate = func(Serial) { updates.Add(1) }
+	sup.OnDown = func(error) { downs.Add(1) }
 	runErr := make(chan error, 1)
-	go func() { runErr <- p.Run() }()
+	go func() { runErr <- sup.Run() }()
 
 	waitFor(t, func() bool { return updates.Load() >= 1 })
 	refresh := fc.nextTimer(t)
@@ -334,37 +260,31 @@ func TestPollerNotifyVsRefreshRace(t *testing.T) {
 	wg.Wait()
 
 	// The refresh-triggered sync, the notify-triggered one, or both run;
-	// either way the client converges and stays healthy.
-	waitFor(t, func() bool { return c.Set().Equal(next) })
-	if !p.Healthy() {
-		t.Fatal("poller unhealthy after notify-vs-refresh race")
+	// either way the subscriber converges and the supervisor stays healthy
+	// on its first generation.
+	waitFor(t, func() bool { return liveTable(live).Equal(next) })
+	if !sup.Healthy() {
+		t.Fatal("supervisor unhealthy after notify-vs-refresh race")
 	}
-	p.Stop()
+	sup.Stop()
 	if err := <-runErr; err != nil {
 		t.Fatalf("Run returned %v after Stop", err)
+	}
+	if n := downs.Load(); n != 0 {
+		t.Fatalf("notify-vs-refresh race ended %d generations", n)
 	}
 }
 
 // TestPollerConnFailureWhileIdle pins the Done-channel branch: when the
-// connection dies while the poller idles between syncs, the poller must
-// treat it as a connection failure — entering the Retry path immediately —
-// not as a refresh-timer sync (the old code discarded the WaitNotify error
-// and could not tell the two apart). Retries fail fast on the client's
-// sticky error; once the Expire window passes, Run surfaces the error so the
-// caller reconnects.
+// connection dies while the supervisor idles between syncs, the generation
+// ends at once — OnDown fires, and the next armed timer is the redial
+// backoff, not a refresh-timer sync or a Retry wait on a dead client. The
+// data stays usable: only the Expire window can age it out.
 func TestPollerConnFailureWhileIdle(t *testing.T) {
+	h := newSupervisorHarness(t)
 	cliConn, srvConn := net.Pipe()
-	c := NewClient(cliConn)
-	fc := newFakeClock()
-	p := NewPoller(c)
-	p.nowFn = fc.Now
-	p.afterFn = fc.After
-	updates := make(chan Serial, 8)
-	p.OnUpdate = func(s Serial) { updates <- s }
-
-	const session = 0x1dfe
-	runErr := make(chan error, 1)
-	go func() { runErr <- p.Run() }()
+	h.conns <- cliConn
+	h.start()
 
 	// Initial sync at serial 7 with adopted timers 1800/300/3600.
 	pdu, _, err := ReadPDU(srvConn)
@@ -374,86 +294,126 @@ func TestPollerConnFailureWhileIdle(t *testing.T) {
 	if _, ok := pdu.(*ResetQuery); !ok {
 		t.Fatalf("expected Reset Query, got %T", pdu)
 	}
-	if err := WritePDU(srvConn, Version1, &CacheResponse{SessionID: session}); err != nil {
+	if err := answerFull(srvConn, 0x1dfe, 7, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := WritePDU(srvConn, Version1, &EndOfData{
-		SessionID: session, Serial: 7, Refresh: 1800, Retry: 300, Expire: 3600,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if s := <-updates; s != 7 {
-		t.Fatalf("initial sync serial = %d, want 7", s)
-	}
-	refresh := fc.nextTimer(t)
-	if refresh.d != 1800*time.Second {
-		t.Fatalf("refresh timer = %v, want 30m0s", refresh.d)
-	}
+	h.wantUpdate(t, 7)
+	h.skipTimer(t, 1800*time.Second)
 
-	// Sever the connection while the poller idles. The next timer armed must
-	// be Retry — the failure is not mistaken for a refresh (the 1800s
-	// refresh timer above is never fired).
+	// Sever the connection while the supervisor idles. The 1800s refresh
+	// timer above is never fired.
 	srvConn.Close()
-	timer := fc.nextTimer(t)
-	if timer.d != 300*time.Second {
-		t.Fatalf("timer after idle connection failure = %v, want the 5m0s retry interval", timer.d)
-	}
-
-	// Each retry fails fast with the sticky error; after the 3600s Expire
-	// window (12 retries at 300s) Run returns it.
-	var result error
-	for fires := 1; ; fires++ {
-		if fires > 13 {
-			t.Fatal("poller kept retrying past the Expire window")
+	select {
+	case err := <-h.downs:
+		if err == nil {
+			t.Fatal("OnDown reported a nil error for a dead connection")
 		}
-		fc.fire(timer)
-		select {
-		case result = <-runErr:
-		case timer = <-fc.reqs:
-			if timer.d != 300*time.Second {
-				t.Fatalf("retry timer #%d = %v, want 5m0s", fires, timer.d)
-			}
-			continue
-		case <-time.After(5 * time.Second):
-			t.Fatal("poller armed no timer and did not exit")
-		}
-		break
+	case <-time.After(5 * time.Second):
+		t.Fatal("idle connection failure did not end the generation")
 	}
-	if result == nil {
-		t.Fatal("Run returned nil after the Expire window passed on a dead connection")
+	// BackoffMin 10s with jitter 0: the redial delay is 5s.
+	h.skipTimer(t, 5*time.Second)
+	if !h.sup.Healthy() {
+		t.Fatal("connection failure discarded data still inside the Expire window")
 	}
-	if p.Healthy() {
-		t.Fatal("poller still healthy after expiry")
-	}
+	h.stop(t)
 }
 
 // TestPollerSyncTimeoutUnwedgesSilentCache pins the liveness watchdog: a
 // cache that accepts the connection and reads the query but never answers
 // would block the exchange forever (the client has no read deadline by
-// design), so SyncTimeout must tear the session down and surface the error
-// promptly — the supervisor's cue to redial.
+// design), so the watchdog — bounded by the Retry interval — must tear the
+// session down and end the generation promptly, the supervisor's cue to
+// redial.
 func TestPollerSyncTimeoutUnwedgesSilentCache(t *testing.T) {
+	h := newSupervisorHarness(t)
+	h.sup.Retry = 50 * time.Millisecond
 	cliConn, srvConn := net.Pipe()
 	defer srvConn.Close()
-	c := NewClient(cliConn)
-	p := NewPoller(c)
-	p.ExitOnDone = true
-	p.SyncTimeout = 50 * time.Millisecond
+	h.conns <- cliConn
 
 	// The wedged cache: consume the query, then go silent forever.
 	go func() { _, _, _ = ReadPDU(srvConn) }()
 
-	runErr := make(chan error, 1)
-	go func() { runErr <- p.Run() }()
+	h.start()
 	select {
-	case err := <-runErr:
+	case err := <-h.downs:
 		if err == nil {
-			t.Fatal("Run returned nil against a silent cache")
+			t.Fatal("generation against a silent cache ended with a nil error")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("SyncTimeout did not unwedge the blocked exchange")
+		t.Fatal("watchdog did not unwedge the blocked exchange")
 	}
-	if c.Err() == nil {
-		t.Fatal("watchdog teardown did not record a sticky error")
+	if st := h.sup.Stats(); st.Generations != 0 || h.sup.Healthy() {
+		t.Fatalf("silent cache counted as synced: %+v", st)
 	}
+	h.stop(t)
+}
+
+// TestPollerLifecycle runs a supervisor against a real Server: the initial
+// sync happens inside Run, a server update arrives by Serial Notify, and
+// Stop is idempotent.
+func TestPollerLifecycle(t *testing.T) {
+	set := testVRPs()
+	srv := NewServer(set)
+	addr, stop := startServer(t, srv)
+	defer stop()
+
+	sup := NewSupervisor(func() (net.Conn, error) { return net.Dial("tcp", addr) })
+	live := rov.NewLiveIndex(rpki.NewSet(nil))
+	sup.Subscribe(live.Apply)
+	var updates atomic.Int32
+	sup.OnUpdate = func(Serial) { updates.Add(1) }
+	errCh := make(chan error, 1)
+	go func() { errCh <- sup.Run() }()
+
+	waitFor(t, func() bool { return updates.Load() >= 1 })
+	if !sup.Healthy() {
+		t.Fatal("supervisor unhealthy after initial sync")
+	}
+	if !liveTable(live).Equal(set) {
+		t.Fatal("initial sync not delivered")
+	}
+
+	// A server update triggers notify -> sync -> OnUpdate.
+	next := rpki.NewSet(append(set.VRPs(),
+		rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: 8, AS: 7}))
+	srv.UpdateSet(next)
+	waitFor(t, func() bool { return updates.Load() >= 2 })
+	if !liveTable(live).Equal(next) {
+		t.Fatal("supervisor did not converge")
+	}
+
+	sup.Stop()
+	if err := <-errCh; err != nil {
+		t.Fatalf("Run returned %v after Stop", err)
+	}
+	// Stop is idempotent.
+	sup.Stop()
+}
+
+// TestPollerExpiry pins health decay: the supervisor adopts the cache's
+// advertised timers after each sync, so the short Expire comes from the
+// server's End of Data PDU, and with no further syncs Healthy must turn
+// false once that window passes.
+func TestPollerExpiry(t *testing.T) {
+	set := testVRPs()
+	srv := NewServer(set)
+	srv.Expire = 1
+	addr, stop := startServer(t, srv)
+	defer stop()
+
+	sup := NewSupervisor(func() (net.Conn, error) { return net.Dial("tcp", addr) })
+	var updates atomic.Int32
+	sup.OnUpdate = func(Serial) { updates.Add(1) }
+	errCh := make(chan error, 1)
+	go func() { errCh <- sup.Run() }()
+	waitFor(t, func() bool { return updates.Load() >= 1 })
+	if _, _, expire := sup.CurrentTimers(); expire != time.Second {
+		t.Fatalf("expire = %v, want the advertised 1s", expire)
+	}
+	// No further syncs: health must decay past the Expire window.
+	waitFor(t, func() bool { return !sup.Healthy() })
+	sup.Stop()
+	<-errCh
 }

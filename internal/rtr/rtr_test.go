@@ -452,83 +452,6 @@ func TestMultipleClients(t *testing.T) {
 	}
 }
 
-// TestOnDeltaReportsAppliedDeltas pins the Client.OnDelta hook: it must
-// fire with exactly the VRPs each update added and removed — across the
-// initial full sync, an incremental delta, and a no-op sync (no callback) —
-// keeping a live validation index in step with the table.
-func TestOnDeltaReportsAppliedDeltas(t *testing.T) {
-	set := testVRPs()
-	srv := NewServer(set)
-	addr, stop := startServer(t, srv)
-	defer stop()
-
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	mirror := map[rpki.VRP]struct{}{}
-	calls := 0
-	c.OnDelta = func(announced, withdrawn []rpki.VRP) {
-		calls++
-		for _, v := range announced {
-			if _, ok := mirror[v]; ok {
-				t.Errorf("announced already-present VRP %s", v)
-			}
-			mirror[v] = struct{}{}
-		}
-		for _, v := range withdrawn {
-			if _, ok := mirror[v]; !ok {
-				t.Errorf("withdrew absent VRP %s", v)
-			}
-			delete(mirror, v)
-		}
-	}
-	checkMirror := func() {
-		t.Helper()
-		vrps := make([]rpki.VRP, 0, len(mirror))
-		for v := range mirror {
-			vrps = append(vrps, v)
-		}
-		if got := rpki.NewSet(vrps); !got.Equal(c.Set()) {
-			t.Fatalf("delta mirror %v != table %v", got.VRPs(), c.Set().VRPs())
-		}
-	}
-
-	if _, err := c.Sync(); err != nil { // initial full sync: everything announced
-		t.Fatal(err)
-	}
-	if calls != 1 || len(mirror) != set.Len() {
-		t.Fatalf("after full sync: %d calls, %d mirrored VRPs", calls, len(mirror))
-	}
-	checkMirror()
-
-	// Incremental update: one VRP dropped, one added.
-	next := rpki.NewSet(append(set.VRPs()[1:],
-		rpki.VRP{Prefix: mp("10.0.0.0/8"), MaxLength: 8, AS: 7}))
-	srv.UpdateSet(next)
-	if _, err := c.WaitNotify(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("after incremental sync: %d calls", calls)
-	}
-	checkMirror()
-
-	// A sync with nothing new must not fire the hook.
-	if _, err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("no-op sync fired OnDelta (calls = %d)", calls)
-	}
-	checkMirror()
-}
-
 // TestSerialDeltaMatchesChainedDeltas pins the snapshot-diff refactor to the
 // behavior of the per-serial delta chain it replaced. The test replays the
 // chain the old server stored — one diffSets delta per update, concatenated

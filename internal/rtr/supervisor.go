@@ -25,11 +25,20 @@ import (
 // window passed during the outage, so §6 forbids diffing against it) do
 // reset subscribers rebuild from the full post-reconnect table.
 //
+// Within a generation the Supervisor runs the RFC 8210 §6 timers itself:
+// sync, then wait for Serial Notify or the Refresh interval (whichever
+// first), falling back to the Retry interval on errors. After every
+// successful sync it adopts the Refresh/Retry/Expire values the cache
+// advertised in its version-1 End of Data (see Client.Timers), as §6
+// prescribes; version-0 caches advertise none, so the configured values
+// stay in force.
+//
 // Health follows the paper's deployment assumption — a router continuously
 // validated against its cache: Healthy measures the Expire window from the
 // last *successful sync*, carried across client generations, so a cache
 // that flaps every few minutes cannot keep stale data looking fresh by
-// resetting the clock at each reconnect.
+// resetting the clock at each reconnect. A generation's first sync is
+// counted in Stats and Healthy before any subscriber receives its data.
 type Supervisor struct {
 	// Dial establishes a connection to the cache; it is called once per
 	// client generation. Required.
@@ -47,7 +56,8 @@ type Supervisor struct {
 	OnDown func(err error)
 	// Refresh/Retry/Expire are fallback timers until the cache advertises
 	// its own in a version-1 End of Data; adopted values are carried across
-	// generations. Read or set them only before Run or after Stop.
+	// generations. Read or set them only before Run or after Stop; while
+	// running, read CurrentTimers.
 	Refresh, Retry, Expire time.Duration
 	// BackoffMin seeds the redial backoff; each failed generation doubles
 	// it up to BackoffMax. A zero BackoffMax caps at the current Retry
@@ -55,11 +65,6 @@ type Supervisor struct {
 	// and never beyond the Expire window. The backoff resets to BackoffMin
 	// after every successful sync.
 	BackoffMin, BackoffMax time.Duration
-	// SyncTimeout bounds each Sync exchange in wall-clock time (see
-	// Poller.SyncTimeout): a cache that accepts connections but never
-	// answers must not wedge a generation forever, or the supervisor could
-	// never redial. Zero derives the bound from the current Retry interval.
-	SyncTimeout time.Duration
 	// Logf, when set, receives lifecycle diagnostics (redials, fallbacks).
 	Logf func(format string, args ...interface{})
 
@@ -69,8 +74,8 @@ type Supervisor struct {
 	// state is the session carried across generations; nil means the next
 	// generation starts fresh (first connect, or the data expired).
 	state *SessionState
-	// lastSync/synced are the supervisor's own Expire clock, seeded into
-	// every generation's poller and surfaced by Healthy.
+	// lastSync/synced are the Expire clock, carried across generations and
+	// surfaced by Healthy.
 	lastSync time.Time
 	synced   bool
 	// delivered records that some subscriber has received data; dropping
@@ -78,7 +83,7 @@ type Supervisor struct {
 	// successful sync is delivered as a reset instead of a delta.
 	delivered     bool
 	discontinuity bool
-	cur           *Poller // current generation; nil between connections
+	cur           *Client // current generation; nil between connections
 	stopped       bool
 	stopCh        chan struct{}
 	doneCh        chan struct{}
@@ -191,7 +196,8 @@ func (s *Supervisor) Stats() SupervisorStats {
 // window is measured from the last successful sync on any generation, never
 // from a (re)connect, so it keeps shrinking through an outage no matter how
 // often the supervisor redials. When false, RFC 8210 §6 says the router
-// must stop using the data (see rov callers of Poller.Healthy).
+// must stop using the data. A failed sync alone does not flip it: per §6
+// the data remains usable until the window passes.
 func (s *Supervisor) Healthy() bool {
 	now := s.timeNow()
 	s.mu.Lock()
@@ -206,25 +212,6 @@ func (s *Supervisor) CurrentTimers() (refresh, retry, expire time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.Refresh, s.Retry, s.Expire
-}
-
-// LastSync returns the time of the last successful sync on any generation.
-func (s *Supervisor) LastSync() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastSync
-}
-
-// Client returns the current generation's client, or nil between
-// connections. The client may die at any moment; treat it as advisory
-// (logging, table export), not as a handle to hold.
-func (s *Supervisor) Client() *Client {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cur == nil {
-		return nil
-	}
-	return s.cur.Client
 }
 
 // Run drives the reconnect loop until Stop: dial, run a client generation
@@ -296,7 +283,7 @@ func (s *Supervisor) backoffCap() time.Duration {
 	return limit
 }
 
-// generation runs one client lifetime: dial, seed, sync until the
+// generation runs one client lifetime: dial, seed, poll until the
 // connection dies. It reports whether any sync succeeded (resets the
 // backoff) and the error that ended the generation.
 func (s *Supervisor) generation() (syncedAny bool, err error) {
@@ -315,8 +302,6 @@ func (s *Supervisor) generation() (syncedAny bool, err error) {
 	}
 	st := s.state
 	disc := s.discontinuity
-	refresh, retry, expire := s.Refresh, s.Retry, s.Expire
-	lastSync, synced := s.lastSync, s.synced
 	s.mu.Unlock()
 
 	conn, err := s.Dial()
@@ -334,36 +319,18 @@ func (s *Supervisor) generation() (syncedAny bool, err error) {
 	g := &generation{sup: s, client: c, resumed: st != nil, discontinuity: disc}
 	c.SubscribeUpdates(g.relay)
 
-	p := NewPoller(c)
-	p.Refresh, p.Retry, p.Expire = refresh, retry, expire
-	p.ExitOnDone = true
-	p.SyncTimeout = s.SyncTimeout
-	if p.SyncTimeout <= 0 {
-		p.SyncTimeout = retry
-	}
-	p.nowFn, p.afterFn = s.nowFn, s.afterFn
-	p.ResumeSyncState(lastSync, synced)
-	p.OnUpdate = g.onUpdate
-
 	s.mu.Lock()
-	s.cur = p
+	s.cur = c
 	stopped := s.stopped
 	s.mu.Unlock()
-	if stopped {
-		// Stop raced the dial and may have missed s.cur; p.Run never
-		// started, so tear the connection down here instead of p.Stop
-		// (which would wait for a Run that will never begin).
-		c.Close()
-		s.mu.Lock()
-		s.cur = nil
-		s.mu.Unlock()
-		return false, nil
+	if !stopped {
+		// Otherwise Stop raced the dial and may have missed s.cur: skip the
+		// loop and tear the connection down below.
+		err = s.poll(g)
 	}
 
-	err = p.Run()
-
 	// The generation is over even if the connection is technically alive
-	// (Run can return on protocol-level failures that leave the session
+	// (poll can return on protocol-level failures that leave the session
 	// framed, e.g. persistent Error Reports): close it, or each redial
 	// cycle would leak a connection and its dispatch goroutine.
 	c.Close()
@@ -374,88 +341,155 @@ func (s *Supervisor) generation() (syncedAny bool, err error) {
 	// crosses into the next client's stream.
 	c.FlushSubscribers()
 
-	// Carry the session and the adopted timers into the next generation.
-	// The client's table survives its dispatch loop, and the poller's
-	// timer fields are stable once Run has returned.
+	// Carry the session into the next generation: the client's table
+	// survives its dispatch loop.
 	st2 := c.SessionState()
 	s.mu.Lock()
 	s.cur = nil
 	if st2 != nil {
 		s.state = st2
 	}
-	s.Refresh, s.Retry, s.Expire = p.Refresh, p.Retry, p.Expire
 	s.mu.Unlock()
-	return g.syncedAny, err
+	return g.synced, err
+}
+
+// poll drives one client through the RFC 8210 §6 timers until the
+// connection dies, the data expires, or Stop: sync, then idle until a
+// Serial Notify or the Refresh interval (whichever fires first) and sync
+// again. A failed sync ends the generation at once when the client is dead
+// (every further sync would fail with the same sticky error) or the data
+// has expired; otherwise it is retried after the Retry interval. Idling is
+// a plain select over the client's channels, the Refresh timer, and Stop:
+// poll never touches the socket, so nothing it does can interrupt a read
+// mid-PDU. It returns nil when stopped.
+func (s *Supervisor) poll(g *generation) error {
+	c := g.client
+	for {
+		serial, err := s.syncWatched(c)
+		if err != nil {
+			if c.Err() != nil || !s.Healthy() {
+				return err
+			}
+			_, retry, _ := s.CurrentTimers()
+			select {
+			case <-s.stopCh:
+				return nil
+			case <-s.timerAfter(retry):
+			}
+			continue
+		}
+		// Once the flush returns every subscriber has observed this sync's
+		// update, so OnUpdate consumers (failover coordinators reading
+		// subscriber-fed mirrors) run after delivery. commit here covers a
+		// serial resume with an empty delta, which the relay never sees.
+		c.FlushSubscribers()
+		g.commit(false)
+		if s.OnUpdate != nil {
+			s.OnUpdate(serial)
+		}
+		refresh, _, _ := s.CurrentTimers()
+		select {
+		case <-s.stopCh:
+			return nil
+		case <-c.Notify():
+		case <-c.Done():
+			// The connection died while idle (read error, or the cache
+			// killed the session with an idle Error Report).
+			return c.Err()
+		case <-s.timerAfter(refresh):
+		}
+	}
+}
+
+// syncWatched runs one Sync under a wall-clock watchdog bounded by the
+// current Retry interval. A cache that accepts the connection but never
+// answers would otherwise wedge the generation forever — the client has no
+// read deadline by design (deadlines mid-PDU are the desync bug the
+// dispatch loop removed) — so the watchdog closes the connection and the
+// exchange fails with the sticky error. Always real time, never the test
+// clock: it guards against wall-clock wedges, not protocol state.
+func (s *Supervisor) syncWatched(c *Client) (Serial, error) {
+	if _, retry, _ := s.CurrentTimers(); retry > 0 {
+		watchdog := time.AfterFunc(retry, func() { c.Close() })
+		defer watchdog.Stop()
+	}
+	return c.Sync()
 }
 
 // generation is the per-client glue: the relay registered as the client's
-// update subscriber and the poller's OnUpdate hook. relay runs on the
-// client's per-subscriber drainer goroutine, onUpdate on the supervisor
-// goroutine — but onUpdate starts by flushing the client's subscribers, so
-// for any one update the relay still completes before the producing sync's
-// OnUpdate bookkeeping runs, exactly as when delivery was synchronous.
-// deliveredAny is touched only on the drainer goroutine, syncedAny only on
-// the supervisor goroutine; neither needs a lock.
+// update subscriber, and the first-sync state it shares with poll. relay
+// runs on the client's drainer goroutine, poll on the supervisor goroutine;
+// poll flushes the client's subscribers before touching that state, so the
+// two never overlap.
 type generation struct {
 	sup    *Supervisor
 	client *Client
 	// resumed records that this client was seeded with carried state;
 	// discontinuity that subscribers hold a table this client cannot diff
-	// against (its first sync is delivered as a reset via onUpdate, and
-	// relay suppresses the corresponding update).
+	// against (its first sync is delivered as a reset).
 	resumed       bool
 	discontinuity bool
-	deliveredAny  bool
-	syncedAny     bool
+	// synced records that commit has counted this generation.
+	synced bool
 }
 
-// relay forwards a client update to the supervisor's subscribers. The first
-// update of a discontinuous generation is suppressed: the client was seeded
-// empty, so that update is the whole table announced at once, and onUpdate
-// delivers it through the reset path instead. (The client delivers full
-// syncs even when their delta is empty — a discontinuous resync to an
-// identical or empty table must still consume the suppression here, or the
-// next real delta would be swallowed.)
+// relay forwards a client update to the supervisor's subscribers after
+// commit has recorded it, so Stats and Healthy already reflect a sync when
+// its data reaches any subscriber. The first update of a discontinuous
+// generation goes to the reset consumers instead: the client was seeded
+// empty, so that update announces the whole table. (The client delivers
+// full syncs even when their delta is empty, so a discontinuous resync to
+// an empty table still resets.)
 func (g *generation) relay(u Update) {
-	if g.discontinuity && !g.deliveredAny {
-		g.deliveredAny = true
+	if first := g.commit(u.Full); first && g.discontinuity {
+		g.sup.deliverReset(u.Announced)
 		return
 	}
-	g.deliveredAny = true
-	if len(u.Announced) == 0 && len(u.Withdrawn) == 0 {
-		return
+	if len(u.Announced) > 0 || len(u.Withdrawn) > 0 {
+		g.sup.deliverDelta(u.Announced, u.Withdrawn)
 	}
-	g.sup.deliverDelta(u.Announced, u.Withdrawn)
 }
 
-// onUpdate runs after every successful sync. The first one classifies how
-// the generation rejoined the cache (serial resume, reset fallback, or
-// subscriber reset) before the common bookkeeping.
-func (g *generation) onUpdate(serial Serial) {
-	// Close the async-delivery window before anything downstream runs: once
-	// the flush returns, every subscriber has observed this sync's update,
-	// so OnUpdate consumers (failover coordinators reading subscriber-fed
-	// mirrors) see delivery and bookkeeping in the pre-fan-out order.
-	g.client.FlushSubscribers()
-	if !g.syncedAny {
-		if g.discontinuity {
-			// Deliver the reset before marking the sync done so a
-			// subscriber never observes a post-reset delta arriving first.
-			g.sup.deliverReset(g.client.Set().VRPs())
+// commit records a committed sync in the supervisor's state: it adopts the
+// cache's advertised timers (ignoring zero, unadvertised values) and
+// advances the Expire clock. The generation's first call also counts the
+// generation and how it rejoined the cache: a serial resume, or a Reset
+// fallback when full. It reports whether this was that first call.
+func (g *generation) commit(full bool) (first bool) {
+	s := g.sup
+	refresh, retry, expire, ok := g.client.Timers()
+	now := s.timeNow()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ok {
+		if refresh > 0 {
+			s.Refresh = refresh
 		}
-		g.sup.classifyFirstSync(g.resumed, g.client.FullSyncs() == 0)
-		g.syncedAny = true
+		if retry > 0 {
+			s.Retry = retry
+		}
+		if expire > 0 {
+			s.Expire = expire
+		}
 	}
-	// Adopt the cache's advertised timers as soon as a sync commits — not
-	// only at generation end — so Healthy's Expire window and the backoff
-	// cap track the values §6 says are in force right now.
-	g.sup.adoptTimers(g.client)
-	g.sup.noteSync(serial)
+	s.lastSync, s.synced = now, true
+	if g.synced {
+		return false
+	}
+	g.synced = true
+	s.stats.Generations++
+	if g.resumed {
+		if full {
+			s.stats.ResetFallbacks++
+		} else {
+			s.stats.SerialResumes++
+		}
+	}
+	return true
 }
 
 // deliverDelta fans a delta out to the Subscribe consumers, sequentially in
-// registration order, on the calling goroutine (the client relay's drainer,
-// or the supervisor goroutine for a reset's suppressed counterpart).
+// registration order, on the client relay's drainer goroutine.
 func (s *Supervisor) deliverDelta(announced, withdrawn []rpki.VRP) {
 	s.mu.Lock()
 	subs := make([]func(announced, withdrawn []rpki.VRP), len(s.subs))
@@ -483,54 +517,6 @@ func (s *Supervisor) deliverReset(table []rpki.VRP) {
 	}
 }
 
-// classifyFirstSync updates the resume-vs-reset counters for a generation's
-// first successful sync.
-func (s *Supervisor) classifyFirstSync(resumed, serialOnly bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Generations++
-	if !resumed {
-		return
-	}
-	if serialOnly {
-		s.stats.SerialResumes++
-	} else {
-		s.stats.ResetFallbacks++
-	}
-}
-
-// adoptTimers copies the cache's advertised End of Data timers over the
-// supervisor's current values, ignoring zero (unadvertised) fields.
-func (s *Supervisor) adoptTimers(c *Client) {
-	refresh, retry, expire, ok := c.Timers()
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if refresh > 0 {
-		s.Refresh = refresh
-	}
-	if retry > 0 {
-		s.Retry = retry
-	}
-	if expire > 0 {
-		s.Expire = expire
-	}
-}
-
-// noteSync advances the Expire clock shared across generations.
-func (s *Supervisor) noteSync(serial Serial) {
-	now := s.timeNow()
-	s.mu.Lock()
-	s.lastSync = now
-	s.synced = true
-	s.mu.Unlock()
-	if s.OnUpdate != nil {
-		s.OnUpdate(serial)
-	}
-}
-
 // Stop terminates Run, tears down the current client generation, and waits
 // for the supervisor goroutine to exit.
 func (s *Supervisor) Stop() {
@@ -545,7 +531,9 @@ func (s *Supervisor) Stop() {
 	cur := s.cur
 	s.mu.Unlock()
 	if cur != nil {
-		cur.Stop()
+		// Closing the connection unblocks an in-flight Sync; an idle poll
+		// returns on stopCh.
+		cur.Close()
 	}
 	<-s.doneCh
 }

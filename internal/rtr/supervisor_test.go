@@ -3,11 +3,63 @@ package rtr
 import (
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/rpki"
 )
+
+// fakeClock is a controllable clock for supervisor tests: every timerAfter
+// call is surfaced on reqs, and the test fires timers explicitly, advancing
+// Now by the timer's duration.
+type fakeClock struct {
+	mu   sync.Mutex
+	now  time.Time
+	reqs chan fakeTimer
+}
+
+type fakeTimer struct {
+	d  time.Duration
+	ch chan time.Time
+}
+
+func newFakeClock() *fakeClock {
+	return &fakeClock{now: time.Unix(1700000000, 0), reqs: make(chan fakeTimer, 16)}
+}
+
+func (f *fakeClock) Now() time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.now
+}
+
+func (f *fakeClock) After(d time.Duration) <-chan time.Time {
+	t := fakeTimer{d: d, ch: make(chan time.Time, 1)}
+	f.reqs <- t
+	return t.ch
+}
+
+// fire advances the clock past the timer's deadline and fires it.
+func (f *fakeClock) fire(t fakeTimer) {
+	f.mu.Lock()
+	f.now = f.now.Add(t.d)
+	now := f.now
+	f.mu.Unlock()
+	t.ch <- now
+}
+
+// nextTimer returns the next armed timer or fails the test after a timeout.
+func (f *fakeClock) nextTimer(t *testing.T) fakeTimer {
+	t.Helper()
+	select {
+	case tm := <-f.reqs:
+		return tm
+	case <-time.After(5 * time.Second):
+		t.Fatal("no timer armed")
+		return fakeTimer{}
+	}
+}
 
 // vrpSet normalizes a delta slice for order-independent comparison.
 func vrpSet(vrps []rpki.VRP) map[rpki.VRP]struct{} {
@@ -31,9 +83,12 @@ func sameVRPs(a, b []rpki.VRP) bool {
 	return true
 }
 
-// delta is one recorded subscriber delivery.
+// delta is one recorded subscriber delivery, with the supervisor's stats
+// and health as the subscriber saw them.
 type delta struct {
 	ann, wd []rpki.VRP
+	stats   SupervisorStats
+	healthy bool
 }
 
 // TestSupervisorBackoffSequence pins the redial schedule: dial failures back
@@ -80,8 +135,11 @@ func TestSupervisorBackoffSequence(t *testing.T) {
 	}
 }
 
+// errRefused is the harness dialer's error when no connection is queued.
+var errRefused = errors.New("connection refused")
+
 // supervisorHarness wires a Supervisor to a channel-fed dialer, a fake
-// clock, and recording subscribers.
+// clock, and recording subscribers and hooks.
 type supervisorHarness struct {
 	sup     *Supervisor
 	fc      *fakeClock
@@ -89,6 +147,7 @@ type supervisorHarness struct {
 	deltas  chan delta
 	resets  chan []rpki.VRP
 	updates chan Serial
+	downs   chan error // generation ends; dial failures are not recorded
 	runErr  chan error
 }
 
@@ -100,6 +159,7 @@ func newSupervisorHarness(t *testing.T) *supervisorHarness {
 		deltas:  make(chan delta, 16),
 		resets:  make(chan []rpki.VRP, 4),
 		updates: make(chan Serial, 16),
+		downs:   make(chan error, 64),
 		runErr:  make(chan error, 1),
 	}
 	h.sup = NewSupervisor(func() (net.Conn, error) {
@@ -107,7 +167,7 @@ func newSupervisorHarness(t *testing.T) *supervisorHarness {
 		case c := <-h.conns:
 			return c, nil
 		default:
-			return nil, errors.New("connection refused")
+			return nil, errRefused
 		}
 	})
 	h.sup.BackoffMin = 10 * time.Second
@@ -116,8 +176,18 @@ func newSupervisorHarness(t *testing.T) *supervisorHarness {
 	h.sup.afterFn = h.fc.After
 	h.sup.jitterFn = func() float64 { return 0 }
 	h.sup.OnUpdate = func(serial Serial) { h.updates <- serial }
+	h.sup.OnDown = func(err error) {
+		if !errors.Is(err, errRefused) {
+			h.downs <- err
+		}
+	}
 	h.sup.Subscribe(func(ann, wd []rpki.VRP) {
-		h.deltas <- delta{ann: append([]rpki.VRP(nil), ann...), wd: append([]rpki.VRP(nil), wd...)}
+		h.deltas <- delta{
+			ann:     append([]rpki.VRP(nil), ann...),
+			wd:      append([]rpki.VRP(nil), wd...),
+			stats:   h.sup.Stats(),
+			healthy: h.sup.Healthy(),
+		}
 	})
 	h.sup.OnReset(func(table []rpki.VRP) {
 		h.resets <- append([]rpki.VRP(nil), table...)
@@ -147,15 +217,17 @@ func (h *supervisorHarness) wantUpdate(t *testing.T, serial Serial) {
 	}
 }
 
-func (h *supervisorHarness) wantDelta(t *testing.T, ann, wd []rpki.VRP) {
+func (h *supervisorHarness) wantDelta(t *testing.T, ann, wd []rpki.VRP) delta {
 	t.Helper()
 	select {
 	case d := <-h.deltas:
 		if !sameVRPs(d.ann, ann) || !sameVRPs(d.wd, wd) {
 			t.Fatalf("delta = +%v -%v, want +%v -%v", d.ann, d.wd, ann, wd)
 		}
+		return d
 	case <-time.After(5 * time.Second):
 		t.Fatal("no delta delivered")
+		return delta{}
 	}
 }
 
@@ -169,7 +241,7 @@ func (h *supervisorHarness) wantNoDelta(t *testing.T) {
 }
 
 // skipTimer asserts the next armed timer's duration without firing it (the
-// poller's refresh timer, left pending when the connection dies).
+// refresh timer, left pending when the connection dies).
 func (h *supervisorHarness) skipTimer(t *testing.T, d time.Duration) {
 	t.Helper()
 	timer := h.fc.nextTimer(t)
@@ -218,6 +290,14 @@ func TestSupervisorSerialResumeAndResetFallback(t *testing.T) {
 
 	h := newSupervisorHarness(t)
 	scriptErr := make(chan error, 3)
+	// Each generation is counted, and its sync reported healthy, before
+	// its first delta reaches a subscriber.
+	countedAtDelivery := func(d delta, want SupervisorStats) {
+		t.Helper()
+		if d.stats != want || !d.healthy {
+			t.Fatalf("at delivery: stats = %+v, healthy = %v; want %+v, healthy", d.stats, d.healthy, want)
+		}
+	}
 
 	// Generation 1: fresh start, full sync of {v1, v2} at serial 7.
 	cli1, srv1 := net.Pipe()
@@ -236,9 +316,9 @@ func TestSupervisorSerialResumeAndResetFallback(t *testing.T) {
 	}()
 	h.start()
 	h.wantUpdate(t, 7)
-	h.wantDelta(t, []rpki.VRP{v1, v2}, nil)
+	countedAtDelivery(h.wantDelta(t, []rpki.VRP{v1, v2}, nil), SupervisorStats{Dials: 1, Generations: 1})
 
-	// Kill the connection while idle; the poller's pending refresh timer is
+	// Kill the connection while idle; the pending refresh timer is
 	// abandoned and the supervisor arms its backoff instead.
 	srv1.Close()
 	h.skipTimer(t, 1800*time.Second)
@@ -270,7 +350,8 @@ func TestSupervisorSerialResumeAndResetFallback(t *testing.T) {
 	}()
 	h.fireTimer(t, 5*time.Second) // backoff = min 10s, jitter 0 -> half
 	h.wantUpdate(t, 8)
-	h.wantDelta(t, []rpki.VRP{v3}, nil)
+	countedAtDelivery(h.wantDelta(t, []rpki.VRP{v3}, nil),
+		SupervisorStats{Dials: 2, Generations: 2, SerialResumes: 1})
 
 	srv2.Close()
 	h.skipTimer(t, 1800*time.Second)
@@ -306,7 +387,8 @@ func TestSupervisorSerialResumeAndResetFallback(t *testing.T) {
 	}()
 	h.fireTimer(t, 5*time.Second)
 	h.wantUpdate(t, 2)
-	h.wantDelta(t, []rpki.VRP{v4}, []rpki.VRP{v2, v3})
+	countedAtDelivery(h.wantDelta(t, []rpki.VRP{v4}, []rpki.VRP{v2, v3}),
+		SupervisorStats{Dials: 3, Generations: 3, SerialResumes: 1, ResetFallbacks: 1})
 
 	for i := 0; i < 3; i++ {
 		if err := <-scriptErr; err != nil {
